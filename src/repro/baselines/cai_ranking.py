@@ -86,6 +86,10 @@ class CaiRanking(RankingProtocol[CaiState]):
     def has_converged(self, configuration: Configuration[CaiState]) -> bool:
         return configuration.is_valid_ranking()
 
+    def convergence_is_closed(self) -> bool:
+        """Distinct labels never collide, so a valid ranking is final."""
+        return True
+
     def is_silent(self, configuration: Configuration[CaiState]) -> bool:
         """All labels distinct — equivalent to convergence for this protocol."""
         ranks = configuration.ranks()

@@ -49,6 +49,12 @@ reference's (see ``convergence_interval`` below), so to reproduce the
 reference's exact stopping interaction, pass the same explicit
 ``convergence_interval`` to both engines.
 
+The check cadence does not set the processing block size.  Fixed-budget
+runs never read the predicate mid-run, and protocols that declare a
+closed converged set (``PopulationProtocol.convergence_is_closed``) are
+checked at block ends only, with a block that ends converged rewound and
+replayed at the cadence — see :meth:`ArraySimulator.run`.
+
 Engine modes
 ------------
 ``dense``
@@ -601,14 +607,14 @@ class ArraySimulator:
         Optional :class:`MetricsCollector`; snapshots are taken at exactly
         the interactions the reference simulator would record.
     convergence_interval:
-        How often (in interactions) to evaluate the convergence predicate.
-        Defaults to ``max(n, 4096)`` — the reference default of ``n`` would
-        force tiny processing blocks and an ``O(n)`` predicate evaluation
-        every ``n`` interactions, capping throughput regardless of the
-        kernel.  The coarser default inflates the recorded stopping time of
-        a ``Θ(n² log n)`` run by well under 1%; pass ``convergence_interval=n``
-        explicitly when exact same-seed stop parity with the reference is
-        required.
+        The stop cadence: a run with ``stop_on_convergence`` stops at the
+        first multiple of this many interactions (counted from the
+        ``run`` call) at which the convergence predicate holds.  Defaults
+        to ``max(n, 4096)``, which inflates the recorded stopping time of
+        a ``Θ(n² log n)`` run by well under 1%; pass
+        ``convergence_interval=n`` for exact same-seed stop parity with
+        the reference.  For protocols without a closed converged set the
+        cadence also bounds the processing blocks.
     chunk_size:
         Pairs sampled per generator call.  Must match the reference
         scheduler's ``chunk_size`` (default 4096) for same-seed equality.
@@ -726,6 +732,8 @@ class ArraySimulator:
         self._rank_assignments = 0
         self._resets = 0
         self._changed_since_check = True
+        self._convergence_checks = 0
+        self._replays = 0
 
         # Pair buffer: refilled with sample_chunk(chunk_size) so the
         # generator sees the exact call sequence of the reference scheduler.
@@ -989,6 +997,16 @@ class ArraySimulator:
         return self._soa_interactions
 
     @property
+    def convergence_checks(self) -> int:
+        """Convergence-predicate evaluations so far (diagnostics)."""
+        return self._convergence_checks
+
+    @property
+    def replays(self) -> int:
+        """Blocks rewound and replayed at the check cadence (diagnostics)."""
+        return self._replays
+
+    @property
     def interactions(self) -> int:
         """Number of interactions simulated so far."""
         return self._interactions
@@ -1022,17 +1040,22 @@ class ArraySimulator:
         return Configuration(self._codec.prototype_view(self._code_list))
 
     def _check_converged(self) -> bool:
+        self._convergence_checks += 1
         return self._protocol.has_converged(self._view_configuration())
 
     # ------------------------------------------------------------------
     # Pair supply
     # ------------------------------------------------------------------
-    def _next_pairs(self, count: int) -> np.ndarray:
-        """Up to ``count`` pairs from the buffer (refilled in fixed chunks)."""
+    def _buffered_pairs(self) -> int:
+        """Pairs left in the buffer, refilling it (fixed chunks) if empty."""
         if self._pair_cursor >= len(self._pair_buffer):
             self._pair_buffer = self._scheduler.sample_chunk(self._chunk_size)
             self._pair_cursor = 0
-        take = min(count, len(self._pair_buffer) - self._pair_cursor)
+        return len(self._pair_buffer) - self._pair_cursor
+
+    def _next_pairs(self, count: int) -> np.ndarray:
+        """Up to ``count`` pairs from the buffer (refilled in fixed chunks)."""
+        take = min(count, self._buffered_pairs())
         view = self._pair_buffer[self._pair_cursor:self._pair_cursor + take]
         self._pair_cursor += take
         return view
@@ -1475,6 +1498,16 @@ class ArraySimulator:
     # ------------------------------------------------------------------
     # Simulator-compatible driving loop
     # ------------------------------------------------------------------
+    #: Engine attributes a processing block may change, restored before
+    #: the block is replayed.  The tabulation caches are exact, so they
+    #: keep whatever the rewound block added.
+    _BLOCK_STATE = (
+        "_interactions", "_rank_assignments", "_resets",
+        "_soa_interactions", "_soa_strikes", "_soa_backoff",
+        "_changed_since_check", "_pair_cursor",
+        "_mode", "_kernel", "_soa", "_soa_columns",
+    )
+
     def _split_at_metrics(self, target: int) -> int:
         """Clip a block target so metric snapshots land on exact interactions."""
         if self._metrics is None:
@@ -1484,6 +1517,95 @@ class ArraySimulator:
             return self._interactions + 1
         return min(target, due)
 
+    def _advance_to(self, target: int) -> None:
+        """Advance to ``target``, recording metric snapshots when due."""
+        metrics = self._metrics
+        while self._interactions < target:
+            self._advance(self._split_at_metrics(target) - self._interactions)
+            if metrics is not None and self._interactions >= metrics.next_due:
+                metrics.record(self._interactions, self._view_configuration())
+
+    def _run_at_cadence(self, budget_end: int, next_check: int) -> None:
+        """Stop at the first converged check point (``next_check`` and
+        every ``convergence_interval`` after it) or at ``budget_end``."""
+        while self._interactions < budget_end:
+            self._advance_to(min(budget_end, next_check))
+            if self._interactions < next_check:
+                return
+            if self._changed_since_check:
+                self._changed_since_check = False
+                if self._check_converged():
+                    return
+            next_check += self._convergence_interval
+
+    def _run_closed(self, budget_end: int) -> None:
+        """Stop mode for a protocol whose converged set is closed.
+
+        Blocks are bounded only by the budget, the next metric snapshot
+        and the end of the pair buffer.  The predicate is evaluated at the
+        end of each block that holds a check point.  The run starts
+        unconverged and closure makes the predicate monotone along the
+        trajectory, so a block that ends unconverged holds no converged
+        check point.  A block that ends converged is rewound to its start
+        and replayed at the cadence, which stops on exactly the check
+        point cadence-sized blocks would have stopped on.  Blocks never
+        cross a buffer refill, so the rewind never re-draws pairs; the
+        generator state is restored for transitions that drew from it
+        after a mid-block demotion.
+        """
+        origin = self._interactions
+        interval = self._convergence_interval
+        metrics = self._metrics
+        next_check = origin + interval
+        # Object-path states mutate in place and draw pairs through the
+        # scheduler's own buffer, so there is nothing cheap to rewind:
+        # from a demotion on, the run finishes at the cadence.
+        while self._interactions < budget_end and self._mode != "object":
+            block_end = self._split_at_metrics(
+                min(budget_end, self._interactions + self._buffered_pairs())
+            )
+            # Only a block holding a check point can stop the run, so only
+            # such a block needs a snapshot and a check (rare when the
+            # cadence exceeds the buffer).
+            snapshot = self._snapshot_block() if block_end >= next_check else None
+            self._advance(block_end - self._interactions)
+            if snapshot is not None:
+                next_check += ((block_end - next_check) // interval + 1) * interval
+                if self._changed_since_check:
+                    self._changed_since_check = False
+                    if self._check_converged():
+                        self._restore_block(snapshot)
+                        break
+            # Snapshots are recorded after the check, so a rewound block
+            # never leaves one behind for its replay to repeat.
+            if metrics is not None and self._interactions >= metrics.next_due:
+                metrics.record(self._interactions, self._view_configuration())
+        if self._interactions < budget_end:
+            passed = self._interactions - origin
+            self._run_at_cadence(
+                budget_end, origin + (passed // interval + 1) * interval
+            )
+
+    def _snapshot_block(self):
+        """What :meth:`_restore_block` needs to rewind the coming block."""
+        return (
+            [getattr(self, name) for name in self._BLOCK_STATE],
+            self._codes_np.copy(),
+            self._cache.mode,
+            self.rng.bit_generator.state,
+        )
+
+    def _restore_block(self, snapshot) -> None:
+        """Rewind the engine to a :meth:`_snapshot_block` snapshot."""
+        values, codes, cache_mode, rng_state = snapshot
+        for name, value in zip(self._BLOCK_STATE, values):
+            setattr(self, name, value)
+        self._codes_np[:] = codes
+        self._code_list[:] = codes.tolist()
+        self._cache.mode = cache_mode
+        self.rng.bit_generator.state = rng_state
+        self._replays += 1
+
     def run(
         self,
         max_interactions: int,
@@ -1492,10 +1614,19 @@ class ArraySimulator:
     ) -> SimulationResult:
         """Run until convergence or until ``max_interactions`` is reached.
 
-        Mirrors :meth:`Simulator.run`: the convergence predicate is
-        evaluated every ``convergence_interval`` interactions, metric
-        snapshots are recorded on the collector's schedule, and the
-        resulting :class:`SimulationResult` has the same contract.
+        Mirrors :meth:`Simulator.run`: the run stops at the first multiple
+        of ``convergence_interval`` (counted from this call) at which the
+        convergence predicate holds, metric snapshots are recorded on the
+        collector's schedule, and the resulting :class:`SimulationResult`
+        has the same contract.  The check cadence only decides *where* a
+        run stops, not how the engine gets there:
+
+        * with ``stop_on_convergence=False`` the predicate is evaluated
+          once, after the budget is spent;
+        * protocols declaring a closed converged set
+          (``convergence_is_closed``) are checked at block ends, with the
+          one block that ends converged replayed at the cadence;
+        * other protocols advance in cadence-sized blocks.
         """
         if max_interactions < 0:
             raise ValueError("max_interactions must be non-negative")
@@ -1504,21 +1635,15 @@ class ArraySimulator:
             self._metrics.record(0, self._view_configuration())
 
         budget_end = self._interactions + max_interactions
-        converged = self._check_converged()
-        next_check = self._interactions + self._convergence_interval
-
-        while self._interactions < budget_end and not (converged and stop_on_convergence):
-            target = self._split_at_metrics(min(budget_end, next_check))
-            self._advance(target - self._interactions)
-            if self._metrics is not None:
-                self._metrics.maybe_record(
-                    self._interactions, self._view_configuration()
+        if not stop_on_convergence:
+            self._advance_to(budget_end)
+        elif not self._check_converged():
+            if self._protocol.convergence_is_closed():
+                self._run_closed(budget_end)
+            else:
+                self._run_at_cadence(
+                    budget_end, self._interactions + self._convergence_interval
                 )
-            if self._interactions >= next_check:
-                if self._changed_since_check:
-                    converged = self._check_converged()
-                    self._changed_since_check = False
-                next_check = self._interactions + self._convergence_interval
 
         converged = self._check_converged()
         self._record_final_snapshot()
@@ -1552,14 +1677,7 @@ class ArraySimulator:
         budget_end = self._interactions + max_interactions
         satisfied = predicate(self._view_configuration())
         while not satisfied and self._interactions < budget_end:
-            target = min(self._interactions + check_interval, budget_end)
-            while self._interactions < target:
-                sub_target = self._split_at_metrics(target)
-                self._advance(sub_target - self._interactions)
-                if self._metrics is not None:
-                    self._metrics.maybe_record(
-                        self._interactions, self._view_configuration()
-                    )
+            self._advance_to(min(self._interactions + check_interval, budget_end))
             satisfied = predicate(self._view_configuration())
         self._record_final_snapshot()
         self._sync_configuration()

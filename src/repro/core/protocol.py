@@ -198,6 +198,24 @@ class PopulationProtocol(abc.ABC, Generic[S]):
         """
         return None
 
+    def convergence_is_closed(self) -> bool:
+        """Whether the converged set is closed under every transition.
+
+        ``True`` promises that no interaction leads from a configuration
+        satisfying :meth:`has_converged` to one that does not — the
+        closure half of self-stabilization, for *every* converged
+        configuration over the state space, not only the reachable ones.
+        The array engine then checks convergence only at the ends of its
+        processing blocks and replays a block that ends converged at the
+        exact check cadence, which yields the stopping interaction of a
+        check every ``convergence_interval`` interactions without splitting
+        its vector work into blocks of that size.  A wrong ``True``
+        silently changes recorded stopping times, so declare it only where
+        a property test backs it (``tests/property``).  ``False`` (the
+        default) keeps the engine on cadence-sized blocks.
+        """
+        return False
+
     def state_converged(self, state: S) -> Optional[bool]:
         """Per-state necessary condition for configuration convergence.
 

@@ -309,8 +309,14 @@ class Simulator:
             metrics.record(0, self._configuration)
 
         budget_end = self._interactions + max_interactions
-        converged = self._protocol.has_converged(self._configuration)
-        next_check = self._interactions + self._convergence_interval
+        if stop_on_convergence:
+            converged = self._protocol.has_converged(self._configuration)
+            next_check = self._interactions + self._convergence_interval
+        else:
+            # Mid-run checks only decide when to stop, so a fixed-budget
+            # run skips them; the post-loop check decides ``converged``.
+            converged = False
+            next_check = budget_end + 1
 
         # ``changed_since_check`` lets the loop skip the O(n) convergence
         # re-evaluation when no transition reported a change since the last

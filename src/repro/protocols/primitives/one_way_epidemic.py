@@ -120,6 +120,10 @@ class OneWayEpidemicProtocol(PopulationProtocol[EpidemicState]):
         """Screen: an active uninformed agent rules out convergence."""
         return state.informed or not state.active
 
+    def convergence_is_closed(self) -> bool:
+        """Infection only ever informs agents, so completion is final."""
+        return True
+
     def informed_count(self, configuration: Configuration[EpidemicState]) -> int:
         """Number of informed agents in ``configuration``."""
         return sum(1 for state in configuration.states if state.informed)

@@ -225,6 +225,11 @@ class StableRanking(RankingProtocol[AgentState]):
         """Screen: convergence requires every agent to hold only its rank."""
         return self._holds_only_rank(state)
 
+    def convergence_is_closed(self) -> bool:
+        """Silent legal set: agents holding distinct bare ranks never
+        change (no coin to toggle, no duplicate to detect)."""
+        return True
+
     @staticmethod
     def _holds_only_rank(state: AgentState) -> bool:
         return (

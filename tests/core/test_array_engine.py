@@ -266,6 +266,31 @@ class TestDistributionalEquivalence:
         assert abs(np.mean(array_times) - np.mean(reference_times)) <= 4096
 
 
+class TestConvergenceChecks:
+    """Diagnostic counters of the check-cadence machinery."""
+
+    @pytest.mark.parametrize("protocol", [StableRanking, LateRandomProtocol])
+    def test_fixed_budget_run_checks_at_most_twice(self, protocol):
+        array = ArraySimulator(protocol(16), random_state=1, convergence_interval=16)
+        result = array.run(max_interactions=20_000, stop_on_convergence=False)
+        assert result.interactions == 20_000
+        assert array.convergence_checks <= 2
+        assert array.replays == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converged_stop_run_replays_at_most_twice(self, seed):
+        array = ArraySimulator(
+            StableRanking(16), random_state=seed, convergence_interval=16
+        )
+        result = array.run(max_interactions=10**7)
+        assert result.converged
+        assert 1 <= array.replays <= 2
+        # The start and final checks, one per 4096-pair block, and one
+        # replayed block at the cadence.
+        blocks = result.interactions // 4096 + 1
+        assert array.convergence_checks <= 2 + blocks + 4096 // 16
+
+
 class TestResultContract:
     def test_raise_on_limit(self):
         array = ArraySimulator(StableRanking(16), random_state=0)

@@ -124,3 +124,16 @@ class TestSimulatorHooks:
         result = simulator.run(max_interactions=2_000, stop_on_convergence=False)
         assert result.interactions == 2_000
         assert result.converged
+
+    def test_fixed_budget_run_checks_convergence_once(self):
+        # Mid-run checks only decide when to stop; a fixed-budget run
+        # evaluates the predicate once, after the loop.
+        protocol = InfectionProtocol(8)
+        calls = []
+        has_converged = protocol.has_converged
+        protocol.has_converged = lambda c: calls.append(1) or has_converged(c)
+        simulator = Simulator(protocol, random_state=6)
+        result = simulator.run(max_interactions=2_000, stop_on_convergence=False)
+        assert result.interactions == 2_000
+        assert result.converged
+        assert len(calls) == 1

@@ -21,14 +21,22 @@ from harness.differential import (
     ks_2sample,
     run_batched,
     run_serial,
+    snapshot,
     trajectory_engines,
 )
+from harness.protocols import ClosedLateRandomProtocol, TransientGoalProtocol
 from repro.baselines.burman_ranking import BurmanStyleRanking
 from repro.baselines.cai_ranking import CaiRanking
 from repro.baselines.token_counter_ranking import TokenCounterRanking
+from repro.core.array_engine import ArraySimulator
 from repro.core.metrics import MetricsCollector, standard_ranking_probes
-from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
+from repro.core.simulation import Simulator
+from repro.protocols.primitives.one_way_epidemic import (
+    EpidemicState,
+    OneWayEpidemicProtocol,
+)
 from repro.protocols.ranking.stable_ranking import StableRanking
+from repro.scenarios import ScheduledEvent, bind_schedule
 
 PROTOCOLS = {
     "stable-ranking": StableRanking,
@@ -134,6 +142,134 @@ class TestTrajectoryMatrix:
         assert len(stops) > 1  # the dropout actually staggers
         for seed, expected, actual in zip(seeds, serial, batched):
             assert_identical(expected, actual, context=f"lane seed={seed}")
+
+
+def engine_pair(protocol_factory, n, seed, metrics_factory=None, interval=None):
+    """Reference and array simulators for one cell (cadence ``n`` unless
+    ``interval`` is given)."""
+    return [
+        engine(
+            protocol_factory(n),
+            random_state=np.random.default_rng(seed),
+            convergence_interval=interval or n,
+            metrics=metrics_factory() if metrics_factory else None,
+        )
+        for engine in (Simulator, ArraySimulator)
+    ]
+
+
+class TestCadenceReplay:
+    """Closed-convergence stop runs: whole-buffer blocks, checks at block
+    ends, and an exact cadence-``n`` replay of the block that converged."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stop_inside_a_block_matches_the_reference(self, seed):
+        n = 64
+        reference, array = engine_pair(StableRanking, n, seed)
+        expected = snapshot(reference.run(3000 * n * n))
+        actual = snapshot(array.run(3000 * n * n))
+        assert_identical(expected, actual, context=f"seed={seed}")
+        assert expected.converged
+        # The stop is a cadence point strictly inside a pair buffer, found
+        # by replaying that one block.
+        assert actual.interactions % n == 0
+        assert actual.interactions % 4096 != 0
+        assert array.replays == 1
+
+    def test_cadence_longer_than_the_pair_buffer(self):
+        # Blocks without a check point are neither snapshotted nor checked.
+        n, interval = 32, 2 * 4096 + 5
+        for seed in SEEDS:
+            reference, array = engine_pair(StableRanking, n, seed, interval=interval)
+            expected = snapshot(reference.run(3000 * n * n))
+            actual = snapshot(array.run(3000 * n * n))
+            assert expected.converged
+            assert_identical(expected, actual, context=f"seed={seed}")
+            assert array.convergence_checks <= 2 + actual.interactions // interval + 1
+
+    def test_second_run_continues_from_the_rewound_cursor(self):
+        # After the replayed stop the engine must sit on the stopping
+        # interaction of the pair stream.  A perturbation followed by a
+        # second stop run makes the recovery depend on every later pair.
+        n = 64
+
+        def uninform(configuration):
+            for index in range(1, n, 2):
+                configuration.states[index] = EpidemicState(informed=False)
+
+        engines = engine_pair(OneWayEpidemicProtocol, n, 4)
+        first = [snapshot(engine.run(10**6)) for engine in engines]
+        assert_identical(*first, context="first run")
+        assert engines[1].replays == 1
+        for engine in engines:
+            engine.apply_perturbation(uninform)
+        second = [snapshot(engine.run(10**6)) for engine in engines]
+        assert_identical(*second, context="second run")
+        assert second[0].interactions > first[0].interactions
+        assert engines[1].replays == 2
+
+    def test_segmented_recovery_log_matches_the_reference(self):
+        n = 64
+        schedule = (
+            ScheduledEvent(at=3001, kind="crash_reset", params={"count": 30}),
+            ScheduledEvent(at=9007, kind="crash_reset", params={"count": 50}),
+        )
+        results = []
+        for engine in engine_pair(OneWayEpidemicProtocol, n, 8):
+            bound = bind_schedule(
+                schedule, engine.protocol, np.random.SeedSequence([8, n])
+            )
+            result = engine.run_segmented(bound, max_interactions=40_000)
+            results.append((snapshot(result), result.events))
+        (expected, expected_log), (actual, actual_log) = results
+        assert_identical(expected, actual)
+        assert actual_log == expected_log
+        assert all(entry["recovered_at"] is not None for entry in actual_log)
+
+    def test_metric_series_across_a_replayed_block(self):
+        n = 32
+        make_metrics = lambda: MetricsCollector(
+            standard_ranking_probes(), interval=333
+        )
+        for seed in SEEDS:
+            reference, array = engine_pair(StableRanking, n, seed, make_metrics)
+            expected = snapshot(reference.run(3000 * n * n))
+            actual = snapshot(array.run(3000 * n * n))
+            assert expected.converged and expected.series
+            assert_identical(expected, actual, context=f"seed={seed}")
+            assert array.replays == 1
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_mid_block_object_demotion_replays_exactly(self, n):
+        # The first counter to reach the threshold demotes the engine to
+        # the object path inside the block that also converges, so the
+        # rewind must restore the table mode and the generator the object
+        # transitions drew from.  A continuation run pins both.
+        for seed in SEEDS:
+            reference, array = engine_pair(ClosedLateRandomProtocol, n, seed)
+            assert array.mode == "lazy"
+            expected = snapshot(reference.run(10**5))
+            actual = snapshot(array.run(10**5))
+            assert expected.converged
+            assert_identical(expected, actual, context=f"n={n} seed={seed}")
+            assert array.mode == "object"
+            assert array.replays == 1
+            expected = snapshot(reference.run(5000, stop_on_convergence=False))
+            actual = snapshot(array.run(5000, stop_on_convergence=False))
+            assert_identical(expected, actual, context=f"continued seed={seed}")
+
+    def test_non_closed_protocol_keeps_the_cadence(self):
+        # The goal holds only while the counter sum lies in [203, 212):
+        # the cadence point 208 catches it, a buffer-end check would not.
+        n = 8
+        for seed in SEEDS:
+            reference, array = engine_pair(TransientGoalProtocol, n, seed)
+            assert not array.protocol.convergence_is_closed()
+            expected = snapshot(reference.run(10**5))
+            actual = snapshot(array.run(10**5))
+            assert (expected.converged, expected.interactions) == (True, 208)
+            assert_identical(expected, actual, context=f"seed={seed}")
+            assert array.replays == 0
 
 
 class TestKsHelper:
