@@ -31,14 +31,9 @@ engine speedups from the recorded timings:
     the kernel's contribution on the walk-bound mid-run regime.
 ``stable_ranking_study_cell``
     A many-seed StableRanking n=128 study cell (100 seeds under
-    ``REPRO_BENCH_FULL=1``, 32 otherwise) to convergence — measured
-    per-seed on the array engine (the pre-batching study behaviour, cold
-    cache), as one cold lockstep batch on the batched replica engine,
-    as a warm-cache batch (the amortized steady state), and as a batch in
-    a *fresh process-like cache* against a populated on-disk table store
-    (``array-batched-persisted-warm``) — the cold-process/warm-store path
-    the persistent tabulation store exists for.  These rows back the
-    batched engine's wall-clock claims in ``docs/benchmarks.md``.
+    ``REPRO_BENCH_FULL=1``, 32 otherwise) to convergence, one seed at a
+    time on the array engine with a cold cache — the way a study runs
+    the cell's seeds.
 ``stable_ranking_tail``
     The stabilization tail (population ranked down to the last two agents),
     which dominates the ``Θ(n² log n)`` total of paper-scale runs and is
@@ -57,7 +52,6 @@ engine speedups from the recorded timings:
 """
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -340,32 +334,12 @@ def test_array_engine_tail_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# StableRanking n=128: the many-seed study cell (batched replica engine)
+# StableRanking n=128: the many-seed study cell
 # ----------------------------------------------------------------------
-# The batched engine's target shape: one study cell = many seeds of one
-# (protocol, n) coordinate.  Per-seed serial execution re-walks the pair
-# table once per seed; the batched engine advances every seed in lockstep
-# over ONE table walk, so the per-step Python dispatch and the one-time
-# transition tabulation amortize across the whole group.  Three rows:
-#
-# ``array``             the pre-batching study behaviour — a fresh cache,
-#                       then one ArraySimulator per seed (cold tabulation
-#                       paid inside the measured round, like a worker
-#                       process meeting the cell for the first time);
-# ``array-batched``     the same seeds as one cold lockstep batch;
-# ``array-batched-warm`` the batch against a pre-warmed shared cache —
-#                       the amortized steady state repeated sweeps reach,
-#                       and the engine's zero-tabulation floor;
-# ``array-batched-persisted-warm``
-#                       the batch in a FRESH cache bound to a populated
-#                       on-disk table store — the cold-process/warm-store
-#                       path (mmap the spilled pairs, remap codes, skip
-#                       retabulation) that ``REPRO_TABLE_CACHE`` buys a
-#                       worker meeting the cell for the first time.
-#
-# Tabulation is irreducible per-pair Python (the packed entries carry
-# exact rank values), so the cold speedup is bounded by the warm row; see
-# docs/benchmarks.md for the measured floor analysis.
+# One study cell = many seeds of one (protocol, n) coordinate, each run
+# by its own ArraySimulator over one shared cache.  The cache starts
+# fresh inside the measured round, so the cold tabulation is paid like a
+# worker process meeting the cell for the first time.
 STUDY_SEED_COUNT = (
     100
     if os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "no")
@@ -389,21 +363,6 @@ def _run_study_cell_serial(cache):
         assert result.converged
 
 
-def _run_study_cell_batched(cache):
-    from repro.core.batched_engine import BatchedArraySimulator
-
-    simulator = BatchedArraySimulator(
-        [StableRanking(STABLE_N) for _ in range(STUDY_SEED_COUNT)],
-        random_states=[
-            np.random.default_rng(seed) for seed in _study_cell_seeds()
-        ],
-        cache=cache,
-        convergence_interval=STABLE_N,
-    )
-    results = simulator.run(STUDY_BUDGET)
-    assert all(result.converged for result in results)
-
-
 def _tag_study_cell(benchmark, engine):
     _tag(
         benchmark,
@@ -416,54 +375,11 @@ def _tag_study_cell(benchmark, engine):
 
 
 def test_study_cell_per_seed_array(benchmark):
-    """The 100-seed cell as the study ran it before batching existed."""
+    """The many-seed cell, one seed at a time on a fresh cache."""
     benchmark.pedantic(
         lambda: _run_study_cell_serial(EngineCache()), rounds=1, iterations=1
     )
     _tag_study_cell(benchmark, "array")
-
-
-def test_study_cell_batched_cold(benchmark):
-    """The same cell as one lockstep batch, tabulating from scratch."""
-    benchmark.pedantic(
-        lambda: _run_study_cell_batched(EngineCache()), rounds=1, iterations=1
-    )
-    _tag_study_cell(benchmark, "array-batched")
-
-
-def test_study_cell_batched_warm(benchmark):
-    """The batch against a shared warm cache — the amortized floor."""
-    cache = EngineCache()
-    _run_study_cell_batched(cache)
-
-    benchmark.pedantic(
-        lambda: _run_study_cell_batched(cache), rounds=2, iterations=1
-    )
-    _tag_study_cell(benchmark, "array-batched-warm")
-
-
-def test_study_cell_batched_persisted_warm(benchmark):
-    """The batch in a fresh cache over a populated on-disk table store.
-
-    One unmeasured cold run populates the store (tabulate + spill); every
-    measured round then constructs a *fresh* ``EngineCache`` bound to the
-    same store, so each round pays the real cold-process costs — open the
-    spill, mmap the arrays, remap codes onto a new codec, recompute probe
-    classes — but none of the per-pair tabulation.  This is the row the
-    ≥1.7×-over-cold acceptance claim is measured against.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        store = os.path.join(tmp, "tables")
-        writer = EngineCache(persist_dir=store)
-        _run_study_cell_batched(writer)
-        writer.spill()
-
-        benchmark.pedantic(
-            lambda: _run_study_cell_batched(EngineCache(persist_dir=store)),
-            rounds=2,
-            iterations=1,
-        )
-    _tag_study_cell(benchmark, "array-batched-persisted-warm")
 
 
 # ----------------------------------------------------------------------

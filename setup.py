@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-ssr",
-    version="1.8.0",
+    version="1.9.0",
     description=(
         "Reproduction of 'Silent Self-Stabilizing Ranking: Time Optimal "
         "and Space Efficient' (ICDCS 2025)"

@@ -234,16 +234,6 @@ class BurmanStyleRanking(RankingProtocol[AgentState]):
                 return False
         return True
 
-    def state_converged(self, state: AgentState) -> bool:
-        """Screen: mirrors the per-state clauses of :meth:`has_converged`."""
-        return (
-            state.rank is not None
-            and not state.in_reset
-            and not state.in_leader_election
-            and state.alive_count is None
-            and state.phase is None
-        )
-
     # ------------------------------------------------------------------
     # State accounting
     # ------------------------------------------------------------------

@@ -98,7 +98,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -413,9 +413,6 @@ class _DenseKernel:
         )
         codes = np.arange(size, dtype=np.int64)
         keys = (codes[:, None] << _CODE_BITS) | codes[None, :]
-        #: Complete packed-outcome matrix, kept for the batched engine's
-        #: lockstep gather (``packed.ravel()[a * size + b]``).
-        self.packed = packed
         #: Scalar-probe view of the same tables, used by the ordered walk.
         self.pair_dict: Dict[int, int] = dict(
             zip(keys.ravel().tolist(), packed.ravel().tolist())
@@ -548,38 +545,6 @@ class _LazyKernel:
         table.ensure_capacity(self._codec.size)
         table.set(a, b, _class_of(packed, a, b))
         return packed
-
-    def evaluate_packed_batch(
-        self, keys: Sequence[int]
-    ) -> Tuple[List[int], List[int], int]:
-        """Resolve many packed pair keys in one call.
-
-        Returns ``(values, raised, novel)``: the packed outcome per key
-        (``0`` where tabulation consumed randomness — those positions are
-        listed in ``raised``), and how many keys were newly tabulated.
-        Keys are processed strictly in order, so codec interning — and
-        therefore every downstream trajectory — is identical to scalar
-        :meth:`evaluate_packed` calls; the point is amortizing the
-        per-miss dispatch of the batched engine's lockstep step loop,
-        where all of a step's misses arrive at settled codes.
-        """
-        get = self.pair_dict.get
-        evaluate = self.evaluate_packed
-        values: List[int] = []
-        raised: List[int] = []
-        novel = 0
-        for position, key in enumerate(keys):
-            value = get(key)
-            if value is None:
-                try:
-                    value = evaluate(key)
-                except RandomnessConsumed:
-                    raised.append(position)
-                    values.append(0)
-                    continue
-                novel += 1
-            values.append(value)
-        return values, raised, novel
 
     def probe_class(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """Probe-class bytes for a batch of state pairs; unknown reads -1."""

@@ -56,8 +56,6 @@ __all__ = [
     "BackendCapability",
     "ReferenceBackend",
     "ArrayBackend",
-    "ArrayBatchedBackend",
-    "ArrayJitBackend",
     "AggregateBackend",
     "GroupCountBackend",
     "register_backend",
@@ -123,10 +121,6 @@ class Backend(abc.ABC):
     kind: str = "agent"
     #: Whether :meth:`create` accepts a shared ``EngineCache``.
     uses_cache: bool = False
-    #: Whether :meth:`create_batch` advances a whole same-spec seed group
-    #: in one call (the experiment layer then ships cell *groups* to this
-    #: backend instead of cells).
-    batches: bool = False
 
     @abc.abstractmethod
     def capabilities(
@@ -138,7 +132,6 @@ class Backend(abc.ABC):
         series: bool = False,
         events: bool = False,
         stop_on_convergence: bool = True,
-        batch_seeds: int = 1,
         topology: Optional[str] = None,
     ) -> BackendCapability:
         """Probe whether (and how well) this backend can run one cell.
@@ -148,10 +141,7 @@ class Backend(abc.ABC):
         .consumes_randomness` are available), ``workload`` the
         initial-configuration family name, ``series`` whether the cell
         records metric time series, ``events`` whether the cell's
-        scenario fires mid-run perturbation events, ``batch_seeds`` how
-        many same-spec seeds would run as one group — backends that
-        advance replicas in lockstep scale their throughput hint with it;
-        everyone else answers for one seed at a time.  ``topology`` is
+        scenario fires mid-run perturbation events.  ``topology`` is
         the restricted interaction-topology family name (``None`` for the
         paper's complete graph); count-level backends answer
         complete-only.
@@ -170,18 +160,6 @@ class Backend(abc.ABC):
             "agent-level simulators"
         )
 
-    def create_batch(self, protocols: Sequence[PopulationProtocol], *,
-                     cache=None, **kwargs):
-        """Build one simulator advancing a whole seed group in lockstep.
-
-        Only meaningful for backends with :attr:`batches`; ``kwargs`` are
-        the per-lane sequences (``configurations``, ``random_states``,
-        ``metrics``) plus the shared simulator arguments.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not batch seed groups"
-        )
-
 
 class ReferenceBackend(Backend):
     """The agent-level ground-truth simulator: always capable, baseline speed."""
@@ -190,7 +168,7 @@ class ReferenceBackend(Backend):
 
     def capabilities(self, protocol, workload, n, *, series=False,
                      events=False, stop_on_convergence=True,
-                     batch_seeds=1, topology=None):
+                     topology=None):
         return BackendCapability(
             supported=True,
             exactness="trajectory",
@@ -226,7 +204,7 @@ class ArrayBackend(Backend):
 
     def capabilities(self, protocol, workload, n, *, series=False,
                      events=False, stop_on_convergence=True,
-                     batch_seeds=1, topology=None):
+                     topology=None):
         from .array_engine import _MAX_RANK
 
         declared = protocol.consumes_randomness()
@@ -265,133 +243,6 @@ class ArrayBackend(Backend):
         return ArraySimulator(protocol, cache=cache, **kwargs)
 
 
-class ArrayBatchedBackend(Backend):
-    """The replica-batched array engine: whole seed groups in lockstep.
-
-    One :class:`~repro.core.batched_engine.BatchedArraySimulator` advances
-    every seed of a study cell group together — one shared tabulation, a
-    ``(seeds, n)`` code matrix, per-step work paid once per group — while
-    each lane stays bit-identical to a serial array run with its seed.
-    The throughput hint therefore *scales with the group*: for one seed
-    the lockstep machinery is pure overhead (``auto`` must prefer the
-    plain array engine), from a handful of seeds up the amortization wins.
-
-    Mid-run perturbation events are unsupported: the scenario appliers
-    rewrite one population between segments, and the batched engine has
-    no segmented-run surface.  Declared rng consumption and populations
-    beyond the packed-rank capacity fall back to per-seed serial runs
-    inside the engine, so ``auto`` must not route them here.
-    """
-
-    name = "array-batched"
-    uses_cache = True
-    batches = True
-
-    #: Seed-group size from which lockstep amortization clearly wins.
-    MIN_BATCH = 4
-    #: Hints: winning group sizes vs single-seed lockstep overhead.
-    HINT_BATCHED = 18.0
-    HINT_SINGLE = 0.5
-
-    def capabilities(self, protocol, workload, n, *, series=False,
-                     events=False, stop_on_convergence=True,
-                     batch_seeds=1, topology=None):
-        from .array_engine import _MAX_RANK
-
-        if events:
-            return BackendCapability(
-                supported=False,
-                supports_events=False,
-                reason=(
-                    "the batched engine advances many replicas in "
-                    "lockstep; mid-run perturbation events need a "
-                    "single-population segmented run"
-                ),
-            )
-        declared = protocol.consumes_randomness()
-        if declared is True or n >= _MAX_RANK:
-            reason = (
-                "transition consumes randomness; lanes would demote to "
-                "per-seed object runs, losing the lockstep amortization"
-                if declared is True
-                else f"n >= {_MAX_RANK} exceeds the packed-table rank "
-                "capacity; lanes would fall back to per-seed runs"
-            )
-            return BackendCapability(supported=False, reason=reason)
-        return BackendCapability(
-            supported=True,
-            exactness="trajectory",
-            supports_series=True,
-            supports_events=False,
-            throughput_hint=(
-                self.HINT_BATCHED
-                if batch_seeds >= self.MIN_BATCH
-                else self.HINT_SINGLE
-            ),
-        )
-
-    def create(self, protocol, *, cache=None, **kwargs):
-        # A single cell routed here explicitly still runs bit-identically:
-        # the serial array engine is the one-lane special case.
-        from .array_engine import ArraySimulator
-
-        return ArraySimulator(protocol, cache=cache, **kwargs)
-
-    def create_batch(self, protocols, *, cache=None, **kwargs):
-        from .batched_engine import BatchedArraySimulator
-
-        return BatchedArraySimulator(protocols, cache=cache, **kwargs)
-
-
-class ArrayJitBackend(Backend):
-    """The numba-compiled array engine variant (optional dependency).
-
-    Capability negotiation is where the optional dependency is gated:
-    when numba is importable the backend serves exactly the cells the
-    plain array engine serves, with compiled chunk loops; when it is not,
-    every probe answers ``supported=False`` with the reason, ``auto``
-    resolution silently skips it, and no ``ImportError`` ever escapes —
-    an explicit ``engine="array-jit"`` request fails with the backend's
-    reason through the ordinary unsupported-cell path.
-    """
-
-    name = "array-jit"
-    uses_cache = True
-
-    HINT_JIT = 20.0
-
-    def capabilities(self, protocol, workload, n, *, series=False,
-                     events=False, stop_on_convergence=True,
-                     batch_seeds=1, topology=None):
-        from .jit_engine import numba_unavailable_reason
-
-        reason = numba_unavailable_reason()
-        if reason is not None:
-            return BackendCapability(supported=False, reason=reason)
-        from .array_engine import _MAX_RANK
-
-        declared = protocol.consumes_randomness()
-        if declared is True or n >= _MAX_RANK:
-            return BackendCapability(
-                supported=False,
-                reason=(
-                    "the compiled chunk loop needs tabulated transitions; "
-                    "this cell would run on the object fallback path"
-                ),
-            )
-        return BackendCapability(
-            supported=True,
-            exactness="trajectory",
-            supports_series=True,
-            throughput_hint=self.HINT_JIT,
-        )
-
-    def create(self, protocol, *, cache=None, **kwargs):
-        from .jit_engine import JitArraySimulator
-
-        return JitArraySimulator(protocol, cache=cache, **kwargs)
-
-
 class AggregateBackend(Backend):
     """The exact event-driven engine on group counts (paper-scale runs).
 
@@ -413,7 +264,7 @@ class AggregateBackend(Backend):
 
     def capabilities(self, protocol, workload, n, *, series=False,
                      events=False, stop_on_convergence=True,
-                     batch_seeds=1, topology=None):
+                     topology=None):
         if topology is not None:
             return BackendCapability(
                 supported=False,
@@ -504,7 +355,7 @@ class GroupCountBackend(Backend):
 
     def capabilities(self, protocol, workload, n, *, series=False,
                      events=False, stop_on_convergence=True,
-                     batch_seeds=1, topology=None):
+                     topology=None):
         if topology is not None:
             return BackendCapability(
                 supported=False,
@@ -622,7 +473,6 @@ def resolve_backend(
     series: bool = False,
     events: bool = False,
     stop_on_convergence: bool = True,
-    batch_seeds: int = 1,
     kinds: Optional[Sequence[str]] = None,
     exactness: Optional[str] = None,
     topology: Optional[str] = None,
@@ -656,8 +506,7 @@ def resolve_backend(
             )
         capability = backend.capabilities(
             protocol, workload, n, series=series, events=events,
-            stop_on_convergence=stop_on_convergence,
-            batch_seeds=batch_seeds, topology=topology,
+            stop_on_convergence=stop_on_convergence, topology=topology,
         )
         if not capability.supported:
             raise ExperimentError(
@@ -679,8 +528,7 @@ def resolve_backend(
             continue
         capability = backend.capabilities(
             protocol, workload, n, series=series, events=events,
-            stop_on_convergence=stop_on_convergence,
-            batch_seeds=batch_seeds, topology=topology,
+            stop_on_convergence=stop_on_convergence, topology=topology,
         )
         if not capability.supported:
             continue
@@ -706,14 +554,13 @@ def capability_matrix(
     *,
     series: bool = False,
     events: bool = False,
-    batch_seeds: int = 1,
     topology: Optional[str] = None,
 ) -> Dict[str, BackendCapability]:
     """Every backend's capability answer for one cell (diagnostics/CLI)."""
     return {
         name: backend.capabilities(
             protocol, workload, n, series=series, events=events,
-            batch_seeds=batch_seeds, topology=topology,
+            topology=topology,
         )
         for name, backend in _REGISTRY.items()
     }
@@ -721,7 +568,5 @@ def capability_matrix(
 
 register_backend(ReferenceBackend())
 register_backend(ArrayBackend())
-register_backend(ArrayBatchedBackend())
-register_backend(ArrayJitBackend())
 register_backend(AggregateBackend())
 register_backend(GroupCountBackend())

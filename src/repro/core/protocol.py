@@ -216,24 +216,6 @@ class PopulationProtocol(abc.ABC, Generic[S]):
         """
         return False
 
-    def state_converged(self, state: S) -> Optional[bool]:
-        """Per-state necessary condition for configuration convergence.
-
-        Batched engines screen whole replica populations with one
-        vectorized pass: if this returns ``False`` for *any* state in a
-        configuration, the configuration cannot satisfy
-        :meth:`has_converged`, so the (comparatively expensive) exact
-        check is skipped.  ``True`` means the state is *compatible* with
-        convergence — the exact check still runs, because per-state
-        screens cannot express global conditions like "the ranks form a
-        permutation".  ``None`` (the default) declares no screen; the
-        engine then always runs the exact check.
-
-        The contract is one-sided: a screen may pass configurations that
-        are not converged, but it must never reject one that is.
-        """
-        return None
-
     def vectorized_kernel(self, codec):
         """Optional struct-of-arrays fast path for the array engine.
 
@@ -267,10 +249,6 @@ class RankingProtocol(PopulationProtocol[S]):
     def output(self, state: S):
         """Ranking output: the agent's rank (``None`` while unranked)."""
         return getattr(state, "rank", None)
-
-    def state_converged(self, state: S) -> Optional[bool]:
-        """A valid ranking needs every agent ranked; unranked ⇒ not converged."""
-        return getattr(state, "rank", None) is not None
 
     def leader_output(self, state: S) -> Optional[bool]:
         """Leader-election output derived from ranking (rank 1 = leader)."""

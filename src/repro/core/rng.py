@@ -81,9 +81,8 @@ def cell_seed_sequences(
     (workload, run, events in the experiment layer's convention).  It is
     deterministic and process-stable (unlike ``hash()``), which makes
     parallel studies bit-identical to serial ones, and it depends only on
-    the cell's own coordinates — never on which cells run alongside it —
-    which is what lets the batched engine advance any subset of a cell
-    group with streams identical to per-seed serial execution.
+    the cell's own coordinates — never on which cells run alongside it or
+    in which process.
     """
     base = np.random.SeedSequence([int(identity_seed), int(n), int(seed_index)])
     return list(base.spawn(count))

@@ -97,19 +97,12 @@ class ChunkOutcome:
     resets:
         Resets triggered inside the prefix (likewise 0 for kernels that
         stop before reset-triggering pairs).
-    reset_positions:
-        Chunk-relative positions of those resets, or ``None`` when
-        ``resets`` is 0.  Single-population engines only need the count;
-        the batched engine feeds one kernel call with pairs from many
-        independent replicas and attributes each reset to its replica by
-        position.
     """
 
     processed: int
     changed: bool = False
     rank_assignments: int = 0
     resets: int = 0
-    reset_positions: Optional[list] = None
 
 
 @runtime_checkable

@@ -37,6 +37,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from ..core.backends import engine_choices
 from ..core.errors import ExperimentError
 from ..scenarios import get_scenario, scenario_names
 from ..topologies import describe_topology, topology_names
@@ -447,9 +448,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seeds", type=int, default=None,
                      help="independent seeded runs per (variant, n) cell")
     run.add_argument("--engine", default=None,
-                     help="simulation engine (auto | reference | array | "
-                          "aggregate | group); auto (the default) resolves "
-                          "each cell to the fastest capable backend")
+                     help=f"simulation engine ({' | '.join(engine_choices())}); "
+                          "auto (the default) resolves each cell to the "
+                          "fastest capable backend")
     run.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the cell fan-out (default 1)")
     run.add_argument("--out", default="results",

@@ -29,14 +29,12 @@ __all__ = ["execute_unit", "run_cells", "run_units", "unit_cell_keys"]
 #: (spec payload dict, n, seed_index) — one cell shipped to a worker.
 CellArgs = Tuple[dict, int, int]
 
-#: Tagged work unit: ``("cell", payload, n, seed_index)`` runs one cell,
-#: ``("batch", payload, n, seed_indices)`` runs a whole same-spec seed
-#: group in lockstep on a batching backend.  A batch unit is indivisible —
-#: it ships to one worker, which is what lets the lanes share a process-
-#: local engine cache — but different units still fan out.  Units are
-#: produced by :func:`repro.experiments.study.plan_units` and consumed
-#: both here (pool fan-out) and by the serving work queue, whose jobs
-#: wrap one unit each (:mod:`repro.serving.queue`).
+#: Tagged work unit: ``("cell", payload, n, seed_index)`` runs one cell.
+#: Units are produced by :func:`repro.experiments.study.plan_units` and
+#: consumed both here (pool fan-out) and by the serving work queue, whose
+#: jobs wrap one unit each (:mod:`repro.serving.queue`).  Queues persisted
+#: by earlier releases can also hold ``("batch", payload, n,
+#: seed_indices)`` seed groups; they run one cell per seed.
 UnitArgs = tuple
 
 
@@ -82,8 +80,7 @@ def run_units(
         pool of that many workers.
     callback:
         Called with each finished row as soon as it is available (in
-        completion order under parallel execution; rows of one batch
-        unit arrive together, in the unit's seed order).
+        completion order under parallel execution).
 
     Returns
     -------

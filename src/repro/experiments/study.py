@@ -503,7 +503,7 @@ class ExperimentSpec:
         """Whether this spec's cells at ``n`` fire mid-run events."""
         return bool(self.build_schedule(n))
 
-    def resolve(self, n: int, batch_seeds: int = 1):
+    def resolve(self, n: int):
         """The ``(backend, capability)`` pair serving this spec's ``n`` cells.
 
         A concrete ``engine`` resolves to that backend (raising
@@ -511,11 +511,10 @@ class ExperimentSpec:
         cell); ``engine="auto"`` negotiates the fastest capable backend
         through each backend's
         :meth:`~repro.core.backends.Backend.capabilities` probe.  The
-        resolution is a pure function of the spec, ``n`` and the
-        ``batch_seeds`` group size (how many same-spec seeds would run as
-        one lockstep group), so parallel workers resolve identically to a
-        serial run.  Extractor-bearing specs read the final agent-level
-        configuration, so they are restricted to agent backends.
+        resolution is a pure function of the spec and ``n``, so parallel
+        workers resolve identically to a serial run.  Extractor-bearing
+        specs read the final agent-level configuration, so they are
+        restricted to agent backends.
         """
         return _backends.resolve_backend(
             self.build_protocol(n),
@@ -525,7 +524,6 @@ class ExperimentSpec:
             series=self.samples > 0,
             events=self.has_events(n),
             stop_on_convergence=self.stop_on_convergence,
-            batch_seeds=batch_seeds,
             kinds=("agent",) if self.extractors else None,
             exactness=self.exactness,
             topology=self.topology,
@@ -774,12 +772,12 @@ def _cell_rng_sequences(spec: ExperimentSpec, n: int, seed_index: int):
 
     The derivation lives in :func:`repro.core.rng.cell_seed_sequences` —
     deterministic, process-stable, and a function of the cell's own
-    coordinates only, which is what makes ``--jobs N`` and the batched
-    engine's seed groups bit-identical to serial per-seed runs.  Spawn
-    children are determined by their index, so the workload and run
-    streams are unchanged from the pre-scenario layout and legacy cells
-    keep their exact trajectories; the third (event) sequence is consumed
-    only by event-bearing scenarios.
+    coordinates only, which is what makes ``--jobs N`` runs and resumed
+    studies bit-identical to serial runs.  Spawn children are determined
+    by their index, so the workload and run streams are unchanged from
+    the pre-scenario layout and legacy cells keep their exact
+    trajectories; the third (event) sequence is consumed only by
+    event-bearing scenarios.
     """
     return cell_seed_sequences(spec.identity_seed(), n, seed_index, 3)
 
@@ -1016,108 +1014,13 @@ def _execute_group(
 def execute_batch(
     spec_payload: Mapping, n: int, seed_indices: Sequence[int]
 ) -> List[dict]:
-    """Run a group of same-spec seeds as one lockstep cell group.
+    """Run a legacy ``("batch", …)`` unit: one :func:`execute_cell` per seed.
 
-    The batched engine advances every seed together over one shared
-    tabulation; each returned row is bit-identical to what
-    :func:`execute_cell` produces for that seed (the per-lane rng streams
-    derive from the cell's own coordinates, never from the group), except
-    that the ``engine`` field records the batching backend.  When the
-    resolved backend does not batch — a registry difference in a worker
-    process, or a spec whose cells need milestone or event machinery —
-    the group falls back to per-seed execution, so results can never
-    depend on *whether* grouping happened, only the wall-clock can.
+    :func:`plan_units` emits single cells, but queues persisted by earlier
+    releases can hold seed-group jobs; they drain to exactly the rows the
+    per-cell jobs would write.
     """
-    from types import SimpleNamespace
-
-    spec = ExperimentSpec.from_dict(dict(spec_payload))
-    seed_indices = [int(index) for index in seed_indices]
-    backend, capability = spec.resolve(n, batch_seeds=len(seed_indices))
-    if (
-        not backend.batches
-        or spec.milestone_fractions
-        or spec.has_events(n)
-    ):
-        return [
-            execute_cell(spec_payload, n, index) for index in seed_indices
-        ]
-
-    budget = int(spec.max_interactions_factor * n * n)
-    protocols = []
-    configurations: List = []
-    rngs = []
-    collectors: List[MetricsCollector] = []
-    for seed_index in seed_indices:
-        workload_seq, run_seq, _ = _cell_rng_sequences(spec, n, seed_index)
-        protocol = spec.build_protocol(n)
-        configuration = WORKLOADS[spec.workload](
-            protocol, np.random.default_rng(workload_seq),
-            **spec.workload_params,
-        )
-        protocols.append(protocol)
-        configurations.append(configuration)
-        rngs.append(np.random.default_rng(run_seq))
-        if spec.samples > 0:
-            interval = max(1, budget // spec.samples)
-            collectors.append(
-                MetricsCollector(standard_ranking_probes(), interval=interval)
-            )
-    if all(configuration is None for configuration in configurations):
-        configurations = None
-
-    cache = None
-    if backend.uses_cache:
-        cache = _shared_cache(spec, n)
-    batch_kwargs = {}
-    cell_topology = spec.build_topology(n)
-    if cell_topology is not None:
-        batch_kwargs["topology"] = cell_topology
-    simulator = backend.create_batch(
-        protocols,
-        configurations=configurations,
-        random_states=rngs,
-        metrics=collectors if collectors else None,
-        cache=cache,
-        convergence_interval=n,
-        **batch_kwargs,
-    )
-    results = simulator.run(
-        budget, stop_on_convergence=spec.stop_on_convergence
-    )
-    if cache is not None:
-        cache.spill()
-
-    rows = []
-    for lane, (seed_index, result) in enumerate(zip(seed_indices, results)):
-        extras: Dict[str, float] = {}
-        for name in spec.extractors:
-            shim = SimpleNamespace(protocol=simulator.lane_protocol(lane))
-            extras.update(EXTRACTORS[name](result, shim))
-        series: Dict[str, Dict[str, list]] = {}
-        if collectors:
-            for name, recorded in collectors[lane].series.items():
-                series[name] = {
-                    "interactions": list(recorded.interactions),
-                    "values": list(recorded.values),
-                }
-        row = RunRow(
-            study="",
-            variant=spec.variant,
-            protocol=protocols[lane].name,
-            engine=backend.name,
-            n=n,
-            seed_index=seed_index,
-            converged=result.converged,
-            interactions=result.interactions,
-            resets=result.resets,
-            exactness=capability.exactness,
-            topology=spec.topology or "complete",
-            extras=extras,
-            milestones={},
-            series=series,
-        )
-        rows.append(row.as_dict())
-    return rows
+    return [execute_cell(spec_payload, n, int(index)) for index in seed_indices]
 
 
 def _execute_agent_level(
@@ -1261,43 +1164,19 @@ def plan_units(
     feeds the units to the in-process fan-out
     (:func:`repro.experiments.parallel.run_units`), the serving layer
     wraps each unit as one queue job
-    (:class:`repro.serving.JobQueue`).  Same-spec seed groups become one
-    indivisible ``("batch", …)`` unit when a batching backend wins the
-    group's capability negotiation — so a work queue ships a lockstep
-    seed-group to exactly one worker, the same way one pool worker runs
-    it — and everything else ships as single ``("cell", …)`` units.  The
-    plan is a pure function of the specs and the known-cell set, so every
-    submitter and every resumed run agree on the unit boundaries.
+    (:class:`repro.serving.JobQueue`).  Every unit is one
+    ``("cell", spec_payload, n, seed_index)`` cell, in spec, ``n``, seed
+    order.  The plan is a pure function of the specs and the known-cell
+    set, so every submitter and every resumed run agree on it.
     """
     known = set(known_keys)
-    missing: Dict[tuple, list] = {}
-    group_specs: Dict[tuple, ExperimentSpec] = {}
-    for spec in specs:
-        for n in spec.n_values:
-            for seed_index in range(spec.seeds):
-                if (spec.variant, n, seed_index) in known:
-                    continue
-                group_key = (spec.variant, n)
-                missing.setdefault(group_key, []).append(seed_index)
-                group_specs[group_key] = spec
-    pending: List[tuple] = []
-    for group_key, seed_indices in missing.items():
-        spec = group_specs[group_key]
-        n = group_key[1]
-        batchable = (
-            len(seed_indices) >= 2
-            and not spec.milestone_fractions
-            and not spec.has_events(n)
-            and spec.resolve(n, batch_seeds=len(seed_indices))[0].batches
-        )
-        if batchable:
-            pending.append(("batch", spec.as_dict(), n, tuple(seed_indices)))
-        else:
-            pending.extend(
-                ("cell", spec.as_dict(), n, seed_index)
-                for seed_index in seed_indices
-            )
-    return pending
+    return [
+        ("cell", spec.as_dict(), n, seed_index)
+        for spec in specs
+        for n in spec.n_values
+        for seed_index in range(spec.seeds)
+        if (spec.variant, n, seed_index) not in known
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -1410,10 +1289,6 @@ class Study:
                 if progress is not None:
                     progress(row, done, total)
 
-        # The shared planner groups same-spec seed groups into one
-        # lockstep work unit when a batching backend wins the group's
-        # capability negotiation; a resumed store groups only the
-        # *missing* seeds.  Everything else ships per cell.
         pending = plan_units(self._specs, known.keys())
 
         def on_row(row: dict) -> None:

@@ -116,10 +116,6 @@ class OneWayEpidemicProtocol(PopulationProtocol[EpidemicState]):
             state.informed for state in configuration.states if state.active
         )
 
-    def state_converged(self, state: EpidemicState) -> bool:
-        """Screen: an active uninformed agent rules out convergence."""
-        return state.informed or not state.active
-
     def convergence_is_closed(self) -> bool:
         """Infection only ever informs agents, so completion is final."""
         return True

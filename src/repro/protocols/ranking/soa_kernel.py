@@ -728,8 +728,5 @@ class StableRankingKernel:
                 self._synced[commit_agents] = commit_codes
         if resets:
             # Resets at or past a shortened prefix were never committed.
-            reset_positions = [pos for pos in reset_positions if pos < prefix]
-            resets = len(reset_positions)
-        return ChunkOutcome(
-            prefix, changed, 0, resets, reset_positions if resets else None
-        )
+            resets = sum(1 for pos in reset_positions if pos < prefix)
+        return ChunkOutcome(prefix, changed, 0, resets)

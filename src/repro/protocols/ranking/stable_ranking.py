@@ -221,10 +221,6 @@ class StableRanking(RankingProtocol[AgentState]):
             return False
         return all(self._holds_only_rank(state) for state in configuration.states)
 
-    def state_converged(self, state: AgentState) -> bool:
-        """Screen: convergence requires every agent to hold only its rank."""
-        return self._holds_only_rank(state)
-
     def convergence_is_closed(self) -> bool:
         """Silent legal set: agents holding distinct bare ranks never
         change (no coin to toggle, no duplicate to detect)."""

@@ -8,8 +8,8 @@ turns the result store into the coordination point so that scale-out is
 * :class:`ShardedResultStore` — each writer appends to a private shard
   under the study directory; readers union shards with the canonical
   ``rows.jsonl``; a compaction pass folds shards back into canon;
-* :class:`JobQueue` — cells (and the batched engine's indivisible
-  seed-group units) become idempotent jobs keyed by their cell identity,
+* :class:`JobQueue` — cells become idempotent jobs keyed by their cell
+  identity,
   claimed through atomic lease files with heartbeat + expiry so a crashed
   worker's claim is reclaimed;
 * :func:`run_worker` — ``repro worker --study DIR`` drains one study's

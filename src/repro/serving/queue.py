@@ -8,12 +8,12 @@ no broker — any process that can see the filesystem can submit or drain::
       leases/<jobid>.json  # one atomic claim file per in-flight job
 
 A *job* wraps one work unit of the study planner
-(:func:`repro.experiments.study.plan_units`): either a single ``(spec, n,
-seed)`` cell or a whole same-spec seed group that the batched engine runs
-in lockstep — a batch unit is indivisible here too, so the lanes share
-one worker's engine cache exactly as under ``Study.run``.  The job id is
-a content hash over the *cell identity* (spec identity seed, ``n``, seed
-indices), so re-submitting an overlapping matrix never duplicates work.
+(:func:`repro.experiments.study.plan_units`), a single ``(spec, n, seed)``
+cell.  Queues written by earlier releases may also hold legacy ``batch``
+jobs over several seeds of one ``(spec, n)``; they still drain, one cell
+per seed.  The job id is a content hash over the *cell identity* (spec
+identity seed, ``n``, seed indices), so re-submitting an overlapping
+matrix never duplicates work.
 
 The lease protocol is at-least-once by design:
 
@@ -56,7 +56,7 @@ class Job:
     """One idempotent unit of study work, keyed by cell identity."""
 
     id: str
-    kind: str  # "cell" | "batch"
+    kind: str  # "cell" | legacy "batch"
     payload: dict  # the spec dictionary (ExperimentSpec.as_dict)
     n: int
     seed_indices: Tuple[int, ...]

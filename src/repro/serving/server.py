@@ -3,10 +3,9 @@
 The service is deliberately small and stdlib-only
 (:class:`http.server.ThreadingHTTPServer`): it owns no execution.  A
 submission plans the study's missing cells into queue jobs (through the
-exact planner ``Study.run`` uses, so batched seed-groups ship as one
-indivisible job); any number of ``repro worker`` processes drain them;
-the service reads the store's union view to answer progress and result
-queries.  Endpoints::
+exact planner ``Study.run`` uses, one job per cell); any number of
+``repro worker`` processes drain them; the service reads the store's
+union view to answer progress and result queries.  Endpoints::
 
     GET  /                        service + study overview
     GET  /studies                 one summary per study under the root
@@ -20,7 +19,7 @@ queries.  Endpoints::
 ``<id>`` is the study directory name (``<name>-<hash12>``), returned by
 the submission response.  Submitting the same specs twice — or an
 extended matrix — re-plans only the still-missing cells, exactly like
-resuming a batch study.
+resuming an interrupted ``Study.run``.
 """
 
 from __future__ import annotations

@@ -29,8 +29,3 @@ def differential_harness():
     """The cross-engine differential driver module (see its docstring)."""
     return differential
 
-
-@pytest.fixture
-def assert_batched_matches_serial():
-    """The harness's one-call batched-vs-serial bit-identity assertion."""
-    return differential.assert_batched_matches_serial

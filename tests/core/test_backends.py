@@ -16,12 +16,10 @@ from repro.protocols.ranking.stable_ranking import StableRanking
 class TestRegistry:
     def test_builtin_backends_are_registered(self):
         assert backends.backend_names() == (
-            "reference", "array", "array-batched", "array-jit",
-            "aggregate", "group",
+            "reference", "array", "aggregate", "group",
         )
         assert backends.engine_choices() == (
-            "reference", "array", "array-batched", "array-jit",
-            "aggregate", "group", "auto",
+            "reference", "array", "aggregate", "group", "auto",
         )
 
     def test_get_backend(self):
@@ -105,63 +103,6 @@ class TestCapabilities:
             OneWayEpidemicProtocol(8), "fresh", 8, events=True
         )
         assert not with_events.supported
-
-
-class TestBatchedCapabilities:
-    def test_batch_size_drives_the_hint(self):
-        # The lockstep engine only wins when a whole seed group amortizes
-        # one tabulation; for one or two seeds the serial array engine
-        # must keep the cell.
-        batched = backends.get_backend("array-batched")
-        protocol = StableRanking(8)
-        solo = batched.capabilities(protocol, "fresh", 8, batch_seeds=1)
-        group = batched.capabilities(protocol, "fresh", 8, batch_seeds=8)
-        assert solo.supported and group.supported
-        assert solo.throughput_hint < backends.ArrayBackend.HINT_TABULATED
-        assert group.throughput_hint > backends.ArrayBackend.HINT_TABULATED
-
-    def test_auto_resolution_respects_batch_seeds(self):
-        protocol = StableRanking(8)
-        solo, _ = backends.resolve_backend(
-            protocol, "fresh", 8, engine="auto", batch_seeds=1
-        )
-        group, capability = backends.resolve_backend(
-            protocol, "fresh", 8, engine="auto", batch_seeds=100
-        )
-        assert solo.name == "array"
-        assert group.name == "array-batched"
-        assert group.batches
-        assert capability.exactness == "trajectory"
-
-    def test_declared_rng_and_rank_capacity_are_unsupported(self):
-        from repro.core.array_engine import _MAX_RANK
-
-        batched = backends.get_backend("array-batched")
-        declared = batched.capabilities(
-            TokenCounterRanking(8), "fresh", 8, batch_seeds=8
-        )
-        assert not declared.supported
-        assert "consumes randomness" in declared.reason
-        huge = batched.capabilities(
-            StableRanking(8), "fresh", _MAX_RANK, batch_seeds=8
-        )
-        assert not huge.supported
-        assert "rank capacity" in huge.reason
-
-    def test_events_are_refused(self):
-        capability = backends.get_backend("array-batched").capabilities(
-            StableRanking(8), "fresh", 8, events=True, batch_seeds=8
-        )
-        assert not capability.supported
-        assert "lockstep" in capability.reason
-
-    def test_single_cell_create_is_the_serial_engine(self):
-        # An explicit engine="array-batched" request for one cell still
-        # runs: the serial array engine is the one-lane special case.
-        simulator = backends.get_backend("array-batched").create(
-            StableRanking(8), random_state=0
-        )
-        assert isinstance(simulator, ArraySimulator)
 
 
 class TestResolution:
@@ -268,10 +209,7 @@ class TestResolution:
 
     def test_capability_matrix_covers_all_backends(self):
         matrix = backends.capability_matrix(StableRanking(8), "fresh", 8)
-        assert set(matrix) == {
-            "reference", "array", "array-batched", "array-jit",
-            "aggregate", "group",
-        }
+        assert set(matrix) == {"reference", "array", "aggregate", "group"}
         assert matrix["array"].supported
         assert not matrix["aggregate"].supported
         assert matrix["group"].supported

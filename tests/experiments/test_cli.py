@@ -128,6 +128,14 @@ class TestMainInProcess:
                 spec.max_interactions_factor == 123.0 for spec in specs
             ), experiment
 
+    def test_engine_help_lists_the_registry(self, capsys):
+        from repro.core.backends import engine_choices
+
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert " | ".join(engine_choices()) in help_text
+
     def test_render_failure_reports_error_but_keeps_store(self, tmp_path, capsys):
         # A budget far too small for the milestones: the rows compute (as
         # non-converged), the legacy renderer raises, and the CLI must

@@ -128,55 +128,26 @@ class TestStudyExecution:
         assert len(result.filter(n=16)) == 3
 
 
-class TestBatchedExecution:
-    """Same-spec seed groups run as one lockstep unit — invisibly.
+class TestSingleCellUnits:
+    """Every work unit is one cell, whatever the seed count: ``--jobs``
+    fans many-seed groups out, and a resumed store re-runs exactly the
+    missing cells."""
 
-    The grouping is a scheduling decision: rows must be bit-identical to
-    per-seed execution (the lane rng derives from the cell coordinates,
-    never from the group), whatever the job count, and a resumed store
-    must re-key only the missing seeds into a fresh, smaller batch.
-    """
+    def test_removed_batched_engine_is_an_unknown_engine(self):
+        with pytest.raises(ExperimentError, match="unknown engine"):
+            small_spec(engine="array-batched")
 
-    def test_batched_rows_match_per_seed_cells(self):
-        spec = small_spec(n_values=(8,), seeds=5)
-        result = Study(spec, name="batched").run()
-        assert [row.engine for row in result.rows] == ["array-batched"] * 5
-        for row in result.rows:
-            cell = execute_cell(spec.as_dict(), 8, row.seed_index)
-            batched = row.as_dict()
-            batched.pop("study")
-            cell.pop("study")
-            # The engine field records which backend actually ran the
-            # cell; everything trajectory-level must agree exactly.
-            assert batched.pop("engine") == "array-batched"
-            assert cell.pop("engine") == "array"
-            assert batched == cell
+    def test_many_seed_auto_rows_record_array(self):
+        result = Study(small_spec(n_values=(8,), seeds=5), name="auto").run()
+        assert [row.engine for row in result.rows] == ["array"] * 5
 
-    def test_small_groups_stay_per_seed(self):
-        # Two seeds do not amortize the lockstep overhead; the capability
-        # negotiation keeps them on the serial array engine.
-        result = Study(small_spec(n_values=(8,), seeds=2), name="solo").run()
-        assert [row.engine for row in result.rows] == ["array", "array"]
-
-    def test_parallel_batched_matches_serial_jobs1(self):
-        spec = small_spec(n_values=(8, 16), seeds=5)
-        serial = Study(spec, name="batch-par").run()
-        parallel = Study(spec, name="batch-par", jobs=2).run()
-        assert all(row.engine == "array-batched" for row in serial.rows)
-        assert [r.as_dict() for r in parallel.rows] == [
-            r.as_dict() for r in serial.rows
-        ]
-
-    def test_resume_mid_batch_recomputes_only_missing_seeds(
-        self, tmp_path, monkeypatch
-    ):
+    def test_resume_recomputes_only_missing_cells(self, tmp_path, monkeypatch):
         spec = small_spec(n_values=(8,), seeds=8)
-        study = Study(spec, name="midbatch", store=tmp_path)
+        study = Study(spec, name="midmatrix", store=tmp_path)
         first = study.run()
-        assert [row.engine for row in first.rows] == ["array-batched"] * 8
 
         # Drop a mid-matrix subset of seeds from the store, as if those
-        # lanes had never been appended before an interruption.
+        # cells had never been appended before an interruption.
         dropped = {2, 3, 5, 6}
         rows_path = study.store.rows_path
         kept = [
@@ -186,27 +157,17 @@ class TestBatchedExecution:
         ]
         rows_path.write_text("\n".join(kept) + "\n")
 
-        batch_calls = []
         cell_calls = []
-        original_batch = study_module.execute_batch
 
-        def counting_batch(payload, n, seed_indices):
-            batch_calls.append((n, tuple(seed_indices)))
-            return original_batch(payload, n, seed_indices)
-
-        def counting_cell(*args):
-            cell_calls.append(args)
-            return study_module.execute_cell(*args)
+        def counting_cell(payload, n, seed_index):
+            cell_calls.append((n, seed_index))
+            return study_module.execute_cell(payload, n, seed_index)
 
         import repro.experiments.parallel as parallel_module
-        monkeypatch.setattr(parallel_module, "execute_batch", counting_batch)
         monkeypatch.setattr(parallel_module, "execute_cell", counting_cell)
 
-        resumed = Study(spec, name="midbatch", store=tmp_path).run()
-        # The four missing seeds became exactly one smaller batch unit...
-        assert batch_calls == [(8, (2, 3, 5, 6))]
-        assert cell_calls == []
-        # ...whose lanes reproduce the original full-batch rows exactly.
+        resumed = Study(spec, name="midmatrix", store=tmp_path).run()
+        assert cell_calls == [(8, 2), (8, 3), (8, 5), (8, 6)]
         assert [r.as_dict() for r in resumed.rows] == [
             r.as_dict() for r in first.rows
         ]

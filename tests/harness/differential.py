@@ -4,8 +4,8 @@ One driver runs the same ``(protocol, workload, n, seed)`` cell on every
 backend that claims it can, and compares the outcomes according to each
 backend's declared exactness class:
 
-* ``"trajectory"`` backends (reference, array, array-jit, the batched
-  engine's lanes) must be **bit-identical** — same stopping interaction,
+* ``"trajectory"`` backends (reference, array) must be
+  **bit-identical** — same stopping interaction,
   same counters, same final states, same metric series;
 * ``"distribution"`` backends (aggregate, group) must be **consistent in
   distribution** — matched ensembles of an observable pass a two-sample
@@ -25,11 +25,9 @@ Conventions baked in (they are what make bit-identity well-defined):
 * per-seed cells derive their generator from the seed integer alone —
   exactly what the study layer's
   :func:`repro.core.rng.cell_seed_sequences` guarantees per cell;
-* the batched engine is compared lane-by-lane against the serial run of
-  the matching seed, each side with its own fresh
-  :class:`~repro.core.array_engine.EngineCache` (sharing one cache is
-  *also* exact, but separate caches make the comparison adversarial:
-  the two sides tabulate in different orders).
+* each engine gets its own fresh
+  :class:`~repro.core.array_engine.EngineCache`, shared across its seeds
+  the way a study shares one per variant.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import numpy as np
 
 from repro.core.array_engine import EngineCache
 from repro.core.backends import capability_matrix, get_backend
-from repro.core.batched_engine import BatchedArraySimulator
 
 __all__ = [
     "Trajectory",
@@ -51,9 +48,8 @@ __all__ = [
     "assert_identical",
     "trajectory_engines",
     "run_serial",
-    "run_batched",
     "differential_trajectories",
-    "assert_batched_matches_serial",
+    "assert_matches_reference",
     "ks_2sample",
     "assert_ks_consistent",
 ]
@@ -158,7 +154,6 @@ def trajectory_engines(
         backend = get_backend(name)
         if (
             backend.kind == "agent"
-            and not backend.batches
             and capability.supported
             and capability.exactness == "trajectory"
         ):
@@ -204,46 +199,6 @@ def run_serial(
     )
 
 
-def run_batched(
-    protocol_factory: Callable[[int], object],
-    n: int,
-    seeds: Sequence[int],
-    *,
-    budget: int,
-    stop_on_convergence: bool = True,
-    cache: Optional[EngineCache] = None,
-    metrics_factory: Optional[Callable[[], object]] = None,
-    use_soa_kernel: bool = False,
-    topology=None,
-) -> List[Trajectory]:
-    """Run a seed group through one lockstep batched simulator.
-
-    Constructs the :class:`BatchedArraySimulator` directly (not through
-    the registry) so unsupported-for-batching protocols still run — they
-    take the engine's exact per-lane serial fallback, which the harness
-    deliberately also exercises.
-    """
-    batch = BatchedArraySimulator(
-        [protocol_factory(n) for _ in seeds],
-        random_states=[np.random.default_rng(seed) for seed in seeds],
-        metrics=(
-            [metrics_factory() for _ in seeds]
-            if metrics_factory is not None
-            else None
-        ),
-        convergence_interval=n,
-        cache=cache if cache is not None else EngineCache(),
-        use_soa_kernel=use_soa_kernel,
-        topology=topology,
-    )
-    return [
-        snapshot(result)
-        for result in batch.run(
-            budget, stop_on_convergence=stop_on_convergence
-        )
-    ]
-
-
 def differential_trajectories(
     protocol_factory: Callable[[int], object],
     n: int,
@@ -255,15 +210,15 @@ def differential_trajectories(
     metrics_factory: Optional[Callable[[], object]] = None,
     topology=None,
 ) -> Dict[str, List[Trajectory]]:
-    """Every capable trajectory engine's per-seed snapshots, plus batched.
+    """Every capable trajectory engine's per-seed snapshots.
 
     Returns ``{engine_name: [trajectory per seed]}`` with ``"reference"``
-    always present (the comparison anchor) and ``"array-batched"`` holding
-    the lockstep engine's lanes.  Each engine uses one cache across its
-    seeds, mirroring how a study amortizes tabulation.  ``topology`` (a
-    built :class:`repro.topologies.Topology`) restricts the interaction
-    graph on every engine; capability filtering uses its family name, so
-    distribution-class backends drop out exactly as they do in a study.
+    always present (the comparison anchor).  Each engine uses one cache
+    across its seeds, mirroring how a study amortizes tabulation.
+    ``topology`` (a built :class:`repro.topologies.Topology`) restricts the
+    interaction graph on every engine; capability filtering uses its
+    family name, so distribution-class backends drop out exactly as they
+    do in a study.
     """
     results: Dict[str, List[Trajectory]] = {}
     probe = {"topology": topology.family} if topology is not None else {}
@@ -283,19 +238,10 @@ def differential_trajectories(
             )
             for seed in seeds
         ]
-    results["array-batched"] = run_batched(
-        protocol_factory,
-        n,
-        seeds,
-        budget=budget,
-        stop_on_convergence=stop_on_convergence,
-        metrics_factory=metrics_factory,
-        topology=topology,
-    )
     return results
 
 
-def assert_batched_matches_serial(
+def assert_matches_reference(
     protocol_factory: Callable[[int], object],
     n: int,
     seeds: Sequence[int],
@@ -307,9 +253,9 @@ def assert_batched_matches_serial(
 ) -> Dict[str, List[Trajectory]]:
     """The headline differential claim, as one call.
 
-    Runs every capable trajectory engine plus the batched engine and
-    asserts each against the reference lane-by-lane; returns the full
-    result map for further inspection.
+    Runs every capable trajectory engine and asserts each against the
+    reference seed by seed; returns the full result map for further
+    inspection.
     """
     results = differential_trajectories(
         protocol_factory,

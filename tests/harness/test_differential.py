@@ -1,26 +1,23 @@
 """Cross-engine differential matrix, driven by the shared harness.
 
-The acceptance matrix for the batched replica engine: for StableRanking,
-the one-way epidemic and all three comparison baselines, at population
-sizes 2, 16 and 64, every lane of one lockstep batched run is
-bit-identical to the serial run of the matching seed — and every other
-trajectory-class backend the registry offers for the cell agrees too.
-The token-counter baseline declares rng-consuming transitions, so its
-"batched" run takes the engine's exact per-lane serial fallback; keeping
-it in the matrix pins that degradation path to the same bit-identity bar.
+For StableRanking, the one-way epidemic and all three comparison
+baselines, at population sizes 2, 16 and 64, every trajectory-class
+backend the registry offers for the cell is bit-identical to the
+reference run of the same seed.  The token-counter baseline declares
+rng-consuming transitions, so its array run takes the engine's exact
+object fallback; keeping it in the matrix pins that degradation path to
+the same bit-identity bar.
 """
 
 import numpy as np
 import pytest
 
 from harness.differential import (
-    assert_batched_matches_serial,
     assert_identical,
     assert_ks_consistent,
+    assert_matches_reference,
     differential_trajectories,
     ks_2sample,
-    run_batched,
-    run_serial,
     snapshot,
     trajectory_engines,
 )
@@ -54,7 +51,7 @@ class TestTrajectoryMatrix:
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_fixed_budget_bit_identity(self, name, n):
         budget = 20 * n * n if n > 2 else 400
-        assert_batched_matches_serial(
+        assert_matches_reference(
             PROTOCOLS[name],
             n,
             SEEDS,
@@ -67,7 +64,7 @@ class TestTrajectoryMatrix:
         # With stop_on_convergence every engine must stop each seed on the
         # exact same interaction — the property the study layer records.
         n = 16
-        results = assert_batched_matches_serial(
+        results = assert_matches_reference(
             PROTOCOLS[name], n, SEEDS, budget=3000 * n * n
         )
         assert all(t.converged for t in results["reference"])
@@ -101,47 +98,6 @@ class TestTrajectoryMatrix:
                 assert_identical(
                     expected, actual, context=f"{engine} seed={seed}"
                 )
-
-    @pytest.mark.parametrize("n", [8, 32])
-    def test_soa_kernel_path_keeps_bit_identity(self, n):
-        # The SoA kernel lockstep path is opt-in (the table walk wins on
-        # study-shaped workloads) but must stay exact: same matrix, with
-        # the kernel's decline-resolving walk handling every segment.
-        serial = [
-            run_serial("array", StableRanking, n, seed, budget=3000 * n * n)
-            for seed in SEEDS
-        ]
-        batched = run_batched(
-            StableRanking,
-            n,
-            SEEDS,
-            budget=3000 * n * n,
-            use_soa_kernel=True,
-        )
-        for seed, expected, actual in zip(SEEDS, serial, batched):
-            assert_identical(
-                expected, actual, context=f"kernel-path n={n} seed={seed}"
-            )
-
-    def test_batched_convergence_dropout_keeps_bit_identity(self):
-        # Seeds converge at different times; lanes that converge mid-run
-        # are masked out while the rest continue.  Every lane must still
-        # report the exact serial stopping interaction and final states.
-        n = 16
-        seeds = range(8)
-        serial = [
-            run_serial(
-                "array", StableRanking, n, seed, budget=3000 * n * n
-            )
-            for seed in seeds
-        ]
-        batched = run_batched(
-            StableRanking, n, list(seeds), budget=3000 * n * n
-        )
-        stops = {t.interactions for t in serial}
-        assert len(stops) > 1  # the dropout actually staggers
-        for seed, expected, actual in zip(seeds, serial, batched):
-            assert_identical(expected, actual, context=f"lane seed={seed}")
 
 
 def engine_pair(protocol_factory, n, seed, metrics_factory=None, interval=None):

@@ -7,8 +7,6 @@ family that persists through the store:
 
 * ``array`` (serial, lazy and dense modes): a fresh cache pointed at a
   populated store replays bit-identically to a plain cold cache;
-* ``array-batched``: every lane of a store-warm lockstep run matches the
-  cold lockstep run *and* the serial anchor of its seed;
 * ``group``: a :class:`GroupTransitionModel` restored from its persisted
   snapshot samples the exact event sequence of the model that wrote it.
 
@@ -21,11 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harness.differential import (
-    assert_identical,
-    run_batched,
-    run_serial,
-)
+from harness.differential import assert_identical, run_serial
 from repro.baselines.burman_ranking import BurmanStyleRanking
 from repro.core.array_engine import EngineCache
 from repro.core.group_engine import GroupCountSimulator, GroupTransitionModel
@@ -38,7 +32,6 @@ PROTOCOLS = [StableRanking, OneWayEpidemicProtocol, BurmanStyleRanking]
 
 protocol_indices = st.integers(min_value=0, max_value=len(PROTOCOLS) - 1)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
-seed_lists = st.lists(seeds, min_size=1, max_size=4)
 
 
 @settings(max_examples=10, deadline=None)
@@ -60,39 +53,6 @@ def test_serial_store_warm_matches_cold(tmp_path_factory, index, seed):
     assert_identical(
         cold, warm, context=f"{factory.__name__} seed={seed}"
     )
-
-
-@settings(max_examples=8, deadline=None)
-@given(index=protocol_indices, group=seed_lists)
-def test_batched_store_warm_matches_cold_and_serial(
-    tmp_path_factory, index, group
-):
-    factory = PROTOCOLS[index]
-    n = 24
-    budget = 40 * n * n
-    store = tmp_path_factory.mktemp("tables")
-
-    writer = EngineCache(persist_dir=store)
-    cold = run_batched(factory, n, group, budget=budget, cache=writer)
-    writer.spill()
-
-    warm = run_batched(
-        factory, n, group, budget=budget,
-        cache=EngineCache(persist_dir=store),
-    )
-    for seed, cold_lane, warm_lane in zip(group, cold, warm):
-        assert_identical(
-            cold_lane, warm_lane,
-            context=f"{factory.__name__} batched seed={seed}",
-        )
-        anchor = run_serial(
-            "array", factory, n, seed, budget=budget,
-            cache=EngineCache(persist_dir=store),
-        )
-        assert_identical(
-            anchor, warm_lane,
-            context=f"{factory.__name__} serial-anchor seed={seed}",
-        )
 
 
 def _run_group(protocol, seed, model):

@@ -78,14 +78,16 @@ class TestQueue:
             "jobs": 3, "pending": 0, "active": 0, "stale": 0,
         }
 
-    def test_batch_jobs_are_indivisible(self, tmp_path):
+    def test_figure2_seed_group_plans_one_job_per_cell(self, tmp_path):
+        from repro.experiments.figure2 import figure2_specs
+
+        (figure2,) = figure2_specs(n_values=(64,), seeds=8)
+        assert figure2.engine == "auto"
+        units = plan_units([figure2], ())
+        assert [unit[0] for unit in units] == ["cell"] * 8
+        assert [unit[3] for unit in units] == list(range(8))
         queue = JobQueue(tmp_path)
-        queue.enqueue_units(units_for(spec(seeds=8)))
-        jobs = queue.jobs()
-        assert [job.kind for job in jobs] == ["batch"]
-        assert jobs[0].seed_indices == tuple(range(8))
-        # One cell persisted does not complete the batch job.
-        assert len(queue.pending([("sr", 8, 3)])) == 1
+        assert len(queue.enqueue_units(units)) == 8
 
 
 class TestLeases:

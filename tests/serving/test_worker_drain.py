@@ -52,8 +52,9 @@ def normalized(rows):
     return out
 
 
-def submit(the_spec, root, name="drain"):
-    """Create the study directory and enqueue its missing cells."""
+def submit(the_spec, root, name="drain", units=None):
+    """Create the study directory and enqueue its missing cells (or the
+    given hand-written ``units``)."""
     study = Study(the_spec, name=name, store=root)
     store = study.store
     store.write_spec(
@@ -64,7 +65,9 @@ def submit(the_spec, root, name="drain"):
         }
     )
     queue = JobQueue(store.directory)
-    queue.enqueue_units(plan_units([the_spec], store.load().keys()))
+    if units is None:
+        units = plan_units([the_spec], store.load().keys())
+    queue.enqueue_units(units)
     return store, queue
 
 
@@ -101,17 +104,24 @@ class TestInProcessWorker:
         assert store.rows_path.exists()
         assert len(store.load()) == 2
 
-    def test_batch_jobs_ship_whole_seed_groups(self, tmp_path):
-        # seeds >= 4 wins the batching negotiation: the queue holds one
-        # indivisible job per (variant, n) whose rows record the batching
-        # backend, exactly as Study.run(jobs=1) would produce.
-        the_spec = spec(n_values=(8,), seeds=6)
-        store, queue = submit(the_spec, tmp_path / "served")
-        assert [job.kind for job in queue.jobs()] == ["batch"]
-        run_worker(store.directory, lease_timeout=5.0)
+    def test_legacy_batch_job_drains_like_per_cell_jobs(self, tmp_path):
+        # Queues persisted by earlier releases can hold one indivisible
+        # ("batch", ...) job per seed group.
+        the_spec = spec(n_values=(8,), seeds=3)
+        legacy = ("batch", the_spec.as_dict(), 8, (0, 1, 2))
+        store, queue = submit(the_spec, tmp_path / "legacy", units=[legacy])
+        (job,) = queue.jobs()
+        assert job.kind == "batch" and job.seed_indices == (0, 1, 2)
+        # One persisted cell does not complete the legacy job.
+        assert len(queue.pending([("sr", 8, 1)])) == 1
+        assert run_worker(store.directory, lease_timeout=5.0) == 1
+
+        cells, cell_queue = submit(the_spec, tmp_path / "cells")
+        assert [job.kind for job in cell_queue.jobs()] == ["cell"] * 3
+        assert run_worker(cells.directory, lease_timeout=5.0) == 3
         rows = normalized(store.load().values())
-        assert {row["engine"] for row in rows} == {"array-batched"}
-        assert rows == serial_rows(the_spec, tmp_path)
+        assert {row["engine"] for row in rows} == {"array"}
+        assert rows == normalized(cells.load().values())
 
     def test_stale_lease_is_reclaimed_and_rerun_to_same_bytes(self, tmp_path):
         the_spec = spec(n_values=(8,), seeds=2)

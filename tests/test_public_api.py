@@ -90,8 +90,7 @@ def test_backend_registry_is_exported():
         assert name in repro.core.__all__
         assert hasattr(repro.core, name)
     assert repro.core.backend_names() == (
-        "reference", "array", "array-batched", "array-jit",
-        "aggregate", "group",
+        "reference", "array", "aggregate", "group",
     )
     assert repro.core.engine_choices()[-1] == "auto"
     # The Cai baseline is reachable under both spellings.

@@ -2,8 +2,7 @@
 
 The acceptance matrix for the topology subsystem: for three protocols,
 across ring / grid2d / power_law / delayed, at population sizes 2, 16
-and 64, every capable trajectory engine — reference, array, the jit tier
-when present, and every lane of the lockstep batched engine — produces
+and 64, every capable trajectory engine (reference and array) produces
 bit-identical runs from the same seed.  The runs are budget-capped, not
 convergence-gated: the ranking protocols rely on complete-graph mixing
 and legitimately do not stabilize on a restricted graph, but their
@@ -12,7 +11,7 @@ trajectories must still agree to the bit.
 
 import pytest
 
-from harness.differential import assert_batched_matches_serial
+from harness.differential import assert_matches_reference
 from repro.baselines.cai_ranking import CaiRanking
 from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
 from repro.protocols.ranking.stable_ranking import StableRanking
@@ -40,7 +39,7 @@ class TestTopologyTrajectoryMatrix:
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_fixed_budget_bit_identity(self, protocol, family, n):
         budget = 10 * n * n if n > 2 else 400
-        assert_batched_matches_serial(
+        assert_matches_reference(
             PROTOCOLS[protocol],
             n,
             SEEDS,
@@ -55,7 +54,7 @@ class TestTopologyTrajectoryMatrix:
         # convergence-stop decision itself (which interaction the engines
         # stop on) is also pinned across engines.
         n = 16
-        results = assert_batched_matches_serial(
+        results = assert_matches_reference(
             OneWayEpidemicProtocol,
             n,
             SEEDS,
@@ -68,11 +67,11 @@ class TestTopologyTrajectoryMatrix:
         # Passing the explicit complete topology must not perturb the
         # stream: the run is bit-identical to the default scheduler path.
         n = 16
-        plain = assert_batched_matches_serial(
+        plain = assert_matches_reference(
             StableRanking, n, SEEDS, budget=5 * n * n,
             stop_on_convergence=False,
         )
-        routed = assert_batched_matches_serial(
+        routed = assert_matches_reference(
             StableRanking, n, SEEDS, budget=5 * n * n,
             stop_on_convergence=False,
             topology=build_topology("complete", n),
