@@ -223,3 +223,63 @@ class TestMakeSimulatorAuto:
         assert isinstance(
             make_simulator(TokenCounterRanking(8), engine="auto"), Simulator
         )
+
+
+REMOVED_ENGINES = ("array-batched", "array-jit")
+
+
+class TestRemovedEngines:
+    """The lockstep replica engine and the numba tier are gone: their
+    names are unknown wherever an engine string is accepted, and the
+    surviving ``array`` backend serves every cell they used to take."""
+
+    @pytest.mark.parametrize("name", REMOVED_ENGINES)
+    def test_get_backend_rejects_the_name(self, name):
+        with pytest.raises(ExperimentError, match="unknown engine"):
+            backends.get_backend(name)
+
+    @pytest.mark.parametrize("name", REMOVED_ENGINES)
+    def test_explicit_resolution_rejects_the_name(self, name):
+        with pytest.raises(ExperimentError, match="unknown engine"):
+            backends.resolve_backend(StableRanking(8), "fresh", 8, engine=name)
+
+    @pytest.mark.parametrize("name", REMOVED_ENGINES)
+    def test_make_simulator_rejects_the_name(self, name):
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_simulator(StableRanking(8), engine=name)
+
+    def test_array_create_builds_the_serial_engine(self):
+        simulator = backends.get_backend("array").create(
+            StableRanking(8), random_state=0
+        )
+        assert isinstance(simulator, ArraySimulator)
+
+    def test_array_serves_event_and_series_cells(self):
+        capability = backends.get_backend("array").capabilities(
+            StableRanking(8), "fresh", 8, series=True, events=True
+        )
+        assert capability.supported
+        assert capability.exactness == "trajectory"
+        assert capability.throughput_hint == backends.ArrayBackend.HINT_TABULATED
+        backend, _ = backends.resolve_backend(
+            StableRanking(8), "fresh", 8, engine="auto", events=True
+        )
+        assert backend.name == "array"
+
+    def test_declared_rng_and_rank_capacity_take_the_object_fallback(self):
+        from repro.core.array_engine import _MAX_RANK
+
+        array = backends.get_backend("array")
+        declared = array.capabilities(TokenCounterRanking(8), "fresh", 8)
+        huge = array.capabilities(StableRanking(8), "fresh", _MAX_RANK)
+        below = array.capabilities(StableRanking(8), "fresh", _MAX_RANK - 1)
+        for capability in (declared, huge):
+            assert capability.supported
+            assert capability.exactness == "trajectory"
+            assert (
+                capability.throughput_hint
+                == backends.ArrayBackend.HINT_OBJECT_FALLBACK
+            )
+        assert "consumes randomness" in declared.reason
+        assert "rank capacity" in huge.reason
+        assert below.throughput_hint == backends.ArrayBackend.HINT_TABULATED

@@ -136,6 +136,17 @@ class TestMainInProcess:
         help_text = " ".join(capsys.readouterr().out.split())
         assert " | ".join(engine_choices()) in help_text
 
+    @pytest.mark.parametrize("engine", ["array-batched", "array-jit"])
+    def test_run_rejects_removed_engines(self, engine, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", "figure2", "--n", "8", "--seeds", "1",
+                "--engine", engine, "--out", str(tmp_path), "--quiet",
+            ])
+        assert exit_info.value.code == 2
+        assert "unknown engine" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_render_failure_reports_error_but_keeps_store(self, tmp_path, capsys):
         # A budget far too small for the milestones: the rows compute (as
         # non-converged), the legacy renderer raises, and the CLI must

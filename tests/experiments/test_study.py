@@ -137,9 +137,58 @@ class TestSingleCellUnits:
         with pytest.raises(ExperimentError, match="unknown engine"):
             small_spec(engine="array-batched")
 
+    def test_removed_jit_engine_is_an_unknown_engine(self):
+        with pytest.raises(ExperimentError, match="unknown engine"):
+            small_spec(engine="array-jit")
+
+    @pytest.mark.parametrize("seeds", [1, 2, 4, 32])
+    def test_plan_units_emits_one_cell_per_seed(self, seeds):
+        spec = small_spec(n_values=(8, 16), seeds=seeds)
+        units = study_module.plan_units([spec], ())
+        assert {unit[0] for unit in units} == {"cell"}
+        assert [(unit[2], unit[3]) for unit in units] == [
+            (n, seed) for n in (8, 16) for seed in range(seeds)
+        ]
+        # Known cells drop out one by one, never as a group.
+        rest = study_module.plan_units([spec], [("stable-ranking", 8, 0)])
+        assert len(rest) == len(units) - 1
+
     def test_many_seed_auto_rows_record_array(self):
         result = Study(small_spec(n_values=(8,), seeds=5), name="auto").run()
         assert [row.engine for row in result.rows] == ["array"] * 5
+
+    def test_many_seed_parallel_matches_serial_jobs1(self):
+        spec = small_spec(n_values=(8, 16), seeds=5)
+        serial = Study(spec, name="many-par").run()
+        parallel = Study(spec, name="many-par", jobs=2).run()
+        assert all(row.engine == "array" for row in serial.rows)
+        assert [r.as_dict() for r in parallel.rows] == [
+            r.as_dict() for r in serial.rows
+        ]
+
+    def test_legacy_batch_rows_match_per_seed_cells(self):
+        # A ("batch", ...) unit persisted by an earlier release runs each
+        # seed as its own cell: same rows, same order as the seed list.
+        spec = small_spec(n_values=(8,), seeds=5)
+        payload = spec.as_dict()
+        seeds = (4, 0, 2)
+        batch = study_module.execute_batch(payload, 8, seeds)
+        assert batch == [execute_cell(payload, 8, seed) for seed in seeds]
+        assert [row["seed_index"] for row in batch] == list(seeds)
+        assert {row["engine"] for row in batch} == {"array"}
+
+    def test_execute_unit_dispatches_both_unit_kinds(self):
+        from repro.experiments.parallel import execute_unit, unit_cell_keys
+
+        payload = small_spec(n_values=(8,), seeds=3).as_dict()
+        legacy = ("batch", payload, 8, (0, 2))
+        cells = [("cell", payload, 8, 0), ("cell", payload, 8, 2)]
+        assert execute_unit(legacy) == [
+            row for unit in cells for row in execute_unit(unit)
+        ]
+        assert unit_cell_keys(legacy) == [
+            key for unit in cells for key in unit_cell_keys(unit)
+        ]
 
     def test_resume_recomputes_only_missing_cells(self, tmp_path, monkeypatch):
         spec = small_spec(n_values=(8,), seeds=8)

@@ -11,8 +11,7 @@ class LateRandomProtocol(PopulationProtocol):
     so the engines start on the lazy path; the first agent to reach the
     threshold makes its transition consume randomness, which raises
     ``RandomnessConsumed`` inside the tabulated walk and exercises the
-    *mid-run* demotion to the object path — per lane, at staggered times,
-    in the batched engine.
+    *mid-run* demotion to the object path, at a seed-dependent time.
     """
 
     name = "late-random"

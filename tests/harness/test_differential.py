@@ -99,6 +99,45 @@ class TestTrajectoryMatrix:
                     expected, actual, context=f"{engine} seed={seed}"
                 )
 
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_soa_kernel_path_keeps_bit_identity(self, n):
+        # The struct-of-arrays kernel is on by default on the table paths;
+        # with it and without it, every seed must match the reference.
+        budget = 3000 * n * n
+        for seed in SEEDS:
+            expected = snapshot(
+                Simulator(
+                    StableRanking(n), random_state=seed, convergence_interval=n
+                ).run(budget)
+            )
+            assert expected.converged
+            for use_soa_kernel in (True, False):
+                actual = snapshot(
+                    ArraySimulator(
+                        StableRanking(n),
+                        random_state=seed,
+                        convergence_interval=n,
+                        use_soa_kernel=use_soa_kernel,
+                    ).run(budget)
+                )
+                assert_identical(
+                    expected,
+                    actual,
+                    context=f"soa={use_soa_kernel} n={n} seed={seed}",
+                )
+
+    def test_convergence_dropout_keeps_bit_identity(self):
+        # Seeds converge at different times while sharing one engine
+        # cache; every seed must still stop on the reference interaction.
+        n = 16
+        seeds = range(8)
+        results = assert_matches_reference(
+            StableRanking, n, seeds, budget=3000 * n * n
+        )
+        stops = {t.interactions for t in results["reference"]}
+        assert len(stops) > 1  # the stopping times actually stagger
+        assert all(t.converged for t in results["array"])
+
 
 def engine_pair(protocol_factory, n, seed, metrics_factory=None, interval=None):
     """Reference and array simulators for one cell (cadence ``n`` unless

@@ -6,7 +6,9 @@ suite states that as a property over protocols × seeds for each backend
 family that persists through the store:
 
 * ``array`` (serial, lazy and dense modes): a fresh cache pointed at a
-  populated store replays bit-identically to a plain cold cache;
+  populated store replays bit-identically to a plain cold cache, and a
+  seed group sharing one warm cache matches the cold group and the
+  reference seed by seed;
 * ``group``: a :class:`GroupTransitionModel` restored from its persisted
   snapshot samples the exact event sequence of the model that wrote it.
 
@@ -32,6 +34,7 @@ PROTOCOLS = [StableRanking, OneWayEpidemicProtocol, BurmanStyleRanking]
 
 protocol_indices = st.integers(min_value=0, max_value=len(PROTOCOLS) - 1)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
+seed_lists = st.lists(seeds, min_size=1, max_size=4)
 
 
 @settings(max_examples=10, deadline=None)
@@ -53,6 +56,41 @@ def test_serial_store_warm_matches_cold(tmp_path_factory, index, seed):
     assert_identical(
         cold, warm, context=f"{factory.__name__} seed={seed}"
     )
+
+
+
+@settings(max_examples=8, deadline=None)
+@given(index=protocol_indices, group=seed_lists)
+def test_seed_group_through_one_warm_cache_matches_cold_and_reference(
+    tmp_path_factory, index, group
+):
+    # A study shares one cache per variant across its seeds: a seed group
+    # replayed through a single store-warm cache must match the cold
+    # group seed by seed, and the reference run of each seed.
+    factory = PROTOCOLS[index]
+    n = 24
+    budget = 40 * n * n
+    store = tmp_path_factory.mktemp("tables")
+
+    writer = EngineCache(persist_dir=store)
+    cold = [
+        run_serial("array", factory, n, seed, budget=budget, cache=writer)
+        for seed in group
+    ]
+    writer.spill()
+
+    warm_cache = EngineCache(persist_dir=store)
+    for seed, cold_run in zip(group, cold):
+        warm = run_serial(
+            "array", factory, n, seed, budget=budget, cache=warm_cache
+        )
+        assert_identical(
+            cold_run, warm, context=f"{factory.__name__} warm seed={seed}"
+        )
+        anchor = run_serial("reference", factory, n, seed, budget=budget)
+        assert_identical(
+            anchor, warm, context=f"{factory.__name__} reference seed={seed}"
+        )
 
 
 def _run_group(protocol, seed, model):

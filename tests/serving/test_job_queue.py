@@ -58,6 +58,25 @@ class TestJobIdentity:
         job = job_for_unit(units_for(spec())[0])
         assert type(job).from_dict(job.as_dict()) == job
 
+    def test_legacy_batch_unit_is_one_job_over_every_seed(self):
+        # Queues persisted by earlier releases can hold ("batch", ...)
+        # units; they still parse into one job covering each listed cell.
+        the_spec = spec()
+        legacy = ("batch", the_spec.as_dict(), 8, (0, 1, 2))
+        job = job_for_unit(legacy)
+        assert job.kind == "batch"
+        assert job.unit == legacy
+        assert job.cell_keys == [("sr", 8, 0), ("sr", 8, 1), ("sr", 8, 2)]
+        assert type(job).from_dict(job.as_dict()) == job
+        cell_ids = {job_for_unit(unit).id for unit in units_for(the_spec)}
+        assert job.id not in cell_ids
+
+    def test_unknown_unit_kind_is_rejected(self):
+        from repro.core.errors import ExperimentError
+
+        with pytest.raises(ExperimentError, match="unknown work unit kind"):
+            job_for_unit(("group", spec().as_dict(), 8, (0, 1)))
+
 
 class TestQueue:
     def test_enqueue_dedupes_by_job_id(self, tmp_path):
