@@ -215,23 +215,38 @@ class EventDrivenSimulator(abc.ABC):
         milestones = milestones or {}
         reached: Dict[str, int] = {}
         budget_end = self._interactions + max_interactions
-
-        def check_milestones() -> None:
-            for name, predicate in milestones.items():
-                if name not in reached and predicate():
-                    reached[name] = self._interactions
-
         if milestones:
-            check_milestones()
-        while not self.is_done() and self._interactions < budget_end:
-            applied = self.step_event(limit=budget_end)
-            if applied is None:
-                break
-            if milestones:
-                check_milestones()
+            self._check_milestones(milestones, reached)
+        self._event_loop(budget_end, milestones, reached)
         return AggregateResult(
             converged=self.is_done(),
             interactions=self._interactions,
             events=self._events,
             milestones=reached,
         )
+
+    def _check_milestones(
+        self, milestones: Dict[str, Callable[[], bool]], reached: Dict[str, int]
+    ) -> None:
+        """Record the current interaction count for newly true milestones."""
+        for name, predicate in milestones.items():
+            if name not in reached and predicate():
+                reached[name] = self._interactions
+
+    def _event_loop(
+        self,
+        budget_end: int,
+        milestones: Dict[str, Callable[[], bool]],
+        reached: Dict[str, int],
+    ) -> None:
+        """Apply events until done, dead or clamped at ``budget_end``.
+
+        Milestones are checked after every applied event.  A subclass may
+        replace this loop by a faster one that leaves the same trajectory:
+        the same events, interaction counts, milestones and uniform draws.
+        """
+        while not self.is_done() and self._interactions < budget_end:
+            if self.step_event(limit=budget_end) is None:
+                break
+            if milestones:
+                self._check_milestones(milestones, reached)

@@ -244,8 +244,11 @@ class ExperimentSpec:
         Whether a run stops at the protocol's convergence predicate.
     milestone_fractions:
         Ranked fractions whose first-hit interaction counts are recorded
-        per run (the Figure 3 measurement).  When non-empty the run stops
-        after the last milestone instead of at convergence.
+        per run (the Figure 3 measurement).  When non-empty, agent-level
+        runs stop after the last milestone instead of at convergence.
+        The count-level engines run on to their goal (the aggregate
+        engine to full ranking), so there a row's ``interactions`` is the
+        completion time of the same trajectory.
     samples:
         When positive, record the standard ranking probes as time series
         with ``samples`` snapshots across the budget (the Figure 2
@@ -827,7 +830,10 @@ def _execute_aggregate(spec, n, seed_index, run_seq, backend,
         **spec.protocol_params,
     )
     milestones = simulator.milestone_predicates(spec.milestone_fractions)
-    outcome = simulator.run(max_interactions=10**15, milestones=milestones)
+    outcome = simulator.run(
+        max_interactions=int(spec.max_interactions_factor * n * n),
+        milestones=milestones,
+    )
     row = RunRow(
         study="",
         variant=spec.variant,

@@ -18,6 +18,14 @@ exact probability weight.  Runs of no-op interactions are skipped with
 geometrically distributed waiting times, so a full execution costs ``O(n)``
 events instead of ``Θ(n² log n)`` interactions.
 
+:meth:`~AggregateSpaceEfficientRanking.event_weights` and
+:meth:`~AggregateSpaceEfficientRanking.apply_event` are the readable
+specification of that process.  ``run`` executes it through a fused loop
+(:meth:`~AggregateSpaceEfficientRanking._fused_events`) that computes the
+total weight in closed form and applies events inline; it picks the same
+classes from the same uniform draws, so its results are bit-identical
+(see ``docs/engines.md``).
+
 Two deliberate simplifications versus the agent-level reference (both
 validated to be statistically irrelevant by the test suite, see DESIGN.md):
 
@@ -38,10 +46,11 @@ validated to be statistically irrelevant by the test suite, see DESIGN.md):
 
 from __future__ import annotations
 
+from math import ceil, log1p
 from typing import Dict, Optional
 
 from ...core.aggregate import EventDrivenSimulator
-from ...core.errors import ConfigurationError
+from ...core.errors import ConfigurationError, SimulationLimitExceeded
 from ...core.rng import RandomState
 from .phases import PhaseSchedule, wait_count_init
 
@@ -70,9 +79,8 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         self._schedule = PhaseSchedule(n)
         self._wait_init = wait_count_init(n, c_wait)
 
-        # Precomputed schedule tables and interned event-key strings: the
-        # event loop runs ~3n times per execution, so per-event method calls
-        # and f-string construction dominate at large n without these.
+        # Precomputed schedule tables: the event loop runs ~3n times per
+        # execution, so per-event schedule method calls would dominate.
         phase_count = self._schedule.phase_count
         self._phase_limit = phase_count
         self._f = [0] * (phase_count + 2)
@@ -81,11 +89,6 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         self._rpp = [0] * (phase_count + 1)
         for phase in range(1, phase_count + 1):
             self._rpp[phase] = self._schedule.ranks_per_phase(phase)
-        self._assign_keys = [f"assign:{p}" for p in range(phase_count + 1)]
-        self._bump_keys = [f"bump:{p}" for p in range(phase_count + 1)]
-        self._join_keys = [f"convert_join:{p}" for p in range(phase_count + 1)]
-        self._merge_keys: Dict[tuple, str] = {}
-        self._event_thunks: Dict[str, object] = {}
 
         # Figure 3 initial configuration.
         self._unconverted = n - 1
@@ -175,9 +178,6 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         # (advancing its phase), and a leader-electing agent converted by a
         # phase-k agent (Protocol 1, lines 7-9).
         rpp = self._rpp
-        assign_keys = self._assign_keys
-        bump_keys = self._bump_keys
-        join_keys = self._join_keys
         double_unconverted = 2 * unconverted
         for phase, count in phase_counts.items():
             if (
@@ -186,25 +186,20 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
                 and rank <= rpp[phase]
                 and f[phase + 1] + rank not in assigned
             ):
-                weights[assign_keys[phase]] = count
+                weights[f"assign:{phase}"] = count
             if phase < phase_limit and f[phase] in assigned:
-                weights[bump_keys[phase]] = count
+                weights[f"bump:{phase}"] = count
             if unconverted:
-                weights[join_keys[phase]] = double_unconverted * count
+                weights[f"convert_join:{phase}"] = double_unconverted * count
 
         # Two phase agents with different phases adopt the maximum.
         if len(phase_counts) > 1:
             phases = sorted(phase_counts)
-            merge_keys = self._merge_keys
             for i, low in enumerate(phases):
                 count_low = phase_counts[low]
                 for high in phases[i + 1:]:
-                    pair = (low, high)
-                    key = merge_keys.get(pair)
-                    if key is None:
-                        key = f"merge:{low}:{high}"
-                        merge_keys[pair] = key
-                    weights[key] = 2 * count_low * phase_counts[high]
+                    weight = 2 * count_low * phase_counts[high]
+                    weights[f"merge:{low}:{high}"] = weight
 
         if unconverted:
             # Conversions by ranked agents and the remaining leader-electing
@@ -223,64 +218,37 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
     # Event application
     # ------------------------------------------------------------------
     def apply_event(self, name: str) -> None:
-        thunk = self._event_thunks.get(name)
-        if thunk is None:
-            thunk = self._compile_event(name)
-            self._event_thunks[name] = thunk
-        thunk()
-
-    def _compile_event(self, name: str):
-        """Parse an event name once and return a reusable applier thunk.
-
-        Event names are interned strings reused across events, so memoizing
-        the parse removes per-event ``str.split``/``int`` work from the loop.
-        """
-        if name.startswith("assign:"):
-            phase = int(name.split(":")[1])
-            return lambda: self._apply_assignment(phase)
-        if name == "convert_by_leader":
-            def convert_by_leader() -> None:
-                self._unconverted -= 1
-                self._follow_up_leader_meets_new_phase_agent()
-            return convert_by_leader
-        if name == "convert_by_waiting":
-            def convert_by_waiting() -> None:
-                self._unconverted -= 1
-                self._add_phase_agent(1)
-                self._tick_wait()
-            return convert_by_waiting
-        if name == "wait_tick":
-            return self._tick_wait
-        if name.startswith("bump:"):
-            phase = int(name.split(":")[1])
-            def bump() -> None:
-                self._remove_phase_agent(phase)
-                self._add_phase_agent(phase + 1)
-            return bump
-        if name.startswith("merge:"):
-            _, low_text, high_text = name.split(":")
-            low, high = int(low_text), int(high_text)
-            def merge() -> None:
-                self._remove_phase_agent(low)
-                self._add_phase_agent(high)
-            return merge
-        if name.startswith("convert_join:"):
-            phase = int(name.split(":")[1])
-            def convert_join() -> None:
-                self._unconverted -= 1
-                self._add_phase_agent(phase)
-            return convert_join
-        if name in ("convert_plain", "convert_plain_responder"):
-            def convert_plain() -> None:
-                self._unconverted -= 1
-                self._add_phase_agent(1)
-            return convert_plain
-        if name == "convert_bumped":
-            def convert_bumped() -> None:
-                self._unconverted -= 1
-                self._add_phase_agent(2)
-            return convert_bumped
-        raise ConfigurationError(f"unknown aggregate event {name!r}")
+        kind, _, argument = name.partition(":")
+        if kind == "assign" and argument:
+            self._apply_assignment(int(argument))
+        elif kind == "bump" and argument:
+            phase = int(argument)
+            self._remove_phase_agent(phase)
+            self._add_phase_agent(phase + 1)
+        elif kind == "merge" and argument:
+            low, high = (int(part) for part in argument.split(":"))
+            self._remove_phase_agent(low)
+            self._add_phase_agent(high)
+        elif kind == "convert_join" and argument:
+            self._unconverted -= 1
+            self._add_phase_agent(int(argument))
+        elif name == "wait_tick":
+            self._tick_wait()
+        elif name == "convert_by_leader":
+            self._unconverted -= 1
+            self._follow_up_leader_meets_new_phase_agent()
+        elif name == "convert_by_waiting":
+            self._unconverted -= 1
+            self._add_phase_agent(1)
+            self._tick_wait()
+        elif name in ("convert_plain", "convert_plain_responder"):
+            self._unconverted -= 1
+            self._add_phase_agent(1)
+        elif name == "convert_bumped":
+            self._unconverted -= 1
+            self._add_phase_agent(2)
+        else:
+            raise ConfigurationError(f"unknown aggregate event {name!r}")
 
     # ------------------------------------------------------------------
     # Internal state updates
@@ -346,11 +314,269 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             self._add_phase_agent(1)
 
     # ------------------------------------------------------------------
+    # Fused event loop (the production path behind ``run``)
+    # ------------------------------------------------------------------
+    def _event_loop(self, budget_end, milestones, reached) -> None:
+        pending = [
+            (name, predicate)
+            for name, predicate in milestones.items()
+            if name not in reached
+        ]
+        if all(
+            isinstance(predicate, _RankedAtLeast) and predicate.simulator is self
+            for _, predicate in pending
+        ):
+            self._fused_events(
+                budget_end,
+                [(name, predicate.count) for name, predicate in pending],
+                reached,
+            )
+            return
+        # Arbitrary predicates read the simulator's attributes, so the fused
+        # loop hands its state back after every event for them.
+        while not self.is_done() and self._interactions < budget_end:
+            if not self._fused_events(budget_end, [], reached, max_events=1):
+                break
+            self._check_milestones(milestones, reached)
+
+    def _fused_events(
+        self,
+        budget_end: int,
+        thresholds: list,
+        reached: Dict[str, int],
+        max_events: Optional[int] = None,
+    ) -> int:
+        """Apply events with the state in locals; return how many were applied.
+
+        Samples exactly what :meth:`step_event` samples — same class order,
+        same uniform draws — but computes the total weight in closed form and
+        applies the chosen event inline.  ``thresholds`` lists
+        ``(milestone name, ranked count)`` pairs, recorded in order as the
+        ranked counter reaches them.  Stops when done, on a dead
+        configuration, when a waiting time is clamped at ``budget_end``, or
+        after ``max_events`` events.
+        """
+        n = self._n
+        total_pairs = self._total_pairs
+        counts = self._phase_counts
+        assigned = self._assigned
+        f = self._f
+        rpp = self._rpp
+        limit = self._phase_limit
+        wait_init = self._wait_init
+        rng = self._rng
+        batch = self._UNIFORM_BATCH
+
+        unconverted = self._unconverted
+        total_phase = self._total_phase
+        leader_ranked = self._leader_mode == "rank"
+        rank = self._leader_rank
+        wait = self._leader_wait
+        interactions = self._interactions
+        events = start_events = self._events
+        uniforms = self._uniforms
+        pos = self._uniform_pos
+        ranked = len(assigned) + leader_ranked
+        next_milestone = min((count for _, count in thresholds), default=n + 1)
+        events_end = -1 if max_events is None else events + max_events
+        try:
+            while ranked != n and interactions < budget_end and events != events_end:
+                # Class weights in event_weights() order: leader classes,
+                # then per phase (assign, bump, convert_join), then merges,
+                # then the conversions by ranked agents.
+                live = rank if leader_ranked and rank >= 1 else 0
+                assign_bump = 0
+                square_sum = 0
+                for phase, count in counts.items():
+                    square_sum += count * count
+                    if (live and phase <= limit and live <= rpp[phase]
+                            and f[phase + 1] + live not in assigned):
+                        assign_bump += count
+                    if phase < limit and f[phase] in assigned:
+                        assign_bump += count
+                # Closed forms: convert_join sums to 2u·total_phase, merges
+                # to total_phase² − Σ c_p², the conversions by ranked agents
+                # to u·(|assigned| + 1) + u·|assigned|.
+                leader_end = unconverted
+                if not leader_ranked:
+                    leader_end += total_phase
+                phase_end = leader_end + assign_bump + 2 * unconverted * total_phase
+                merge_end = phase_end + total_phase * total_phase - square_sum
+                total = merge_end + unconverted * (2 * len(assigned) + 1)
+                if not total:
+                    break
+                success_probability = total / total_pairs
+                if success_probability > 1.0:
+                    raise SimulationLimitExceeded(
+                        "event weights exceed the number of ordered pairs "
+                        f"({float(total)} > {total_pairs}); "
+                        "the event decomposition is inconsistent"
+                    )
+                if pos + 2 > len(uniforms):
+                    uniforms = rng.random(batch).tolist()
+                    pos = 0
+                if success_probability >= 1.0:
+                    waiting = 1
+                else:
+                    waiting = 1 + int(
+                        log1p(-uniforms[pos]) / log1p(-success_probability)
+                    )
+                    pos += 1
+                if interactions + waiting > budget_end:
+                    interactions = budget_end
+                    break
+                interactions += waiting
+                threshold = uniforms[pos] * total
+                pos += 1
+                if threshold >= total:
+                    # Every weight is a positive integer, so this lands in
+                    # the last positive class, as in step_event.
+                    threshold = total - 0.5
+
+                # Apply the chosen class: the leader may assign a rank to a
+                # phase agent of ``assign_phase``, one phase agent leaves
+                # ``drop`` and one enters ``grow`` (0 = none).
+                assign_phase = drop = grow = 0
+                if threshold < leader_end:
+                    if leader_ranked:  # convert_by_leader
+                        unconverted -= 1
+                        if (1 <= rank <= rpp[1]
+                                and f[2] + rank not in assigned):
+                            assign_phase = 1
+                        else:
+                            grow = 1
+                    else:
+                        if threshold >= total_phase:  # convert_by_waiting
+                            unconverted -= 1
+                            grow = 1
+                        wait -= 1  # wait_tick
+                        if wait <= 0:
+                            leader_ranked = True
+                            ranked += 1
+                            rank = 1
+                elif threshold < phase_end:
+                    cumulative = leader_end
+                    join_weight = 2 * unconverted
+                    for phase, count in counts.items():
+                        if (live and phase <= limit and live <= rpp[phase]
+                                and f[phase + 1] + live not in assigned):
+                            cumulative += count
+                            if threshold < cumulative:
+                                assign_phase = drop = phase
+                                break
+                        if phase < limit and f[phase] in assigned:
+                            cumulative += count
+                            if threshold < cumulative:  # bump
+                                drop = phase
+                                grow = phase + 1
+                                break
+                        cumulative += join_weight * count
+                        if threshold < cumulative:  # convert_join
+                            unconverted -= 1
+                            grow = phase
+                            break
+                elif threshold < merge_end:
+                    cumulative = phase_end
+                    phases = sorted(counts)
+                    for index, low in enumerate(phases):
+                        double_low = 2 * counts[low]
+                        for high in phases[index + 1:]:
+                            cumulative += double_low * counts[high]
+                            if threshold < cumulative:
+                                drop = low
+                                grow = high
+                                break
+                        if drop:
+                            break
+                else:
+                    # convert_plain, convert_bumped, convert_plain_responder:
+                    # only the bumped conversion lands in phase 2.
+                    plain_end = merge_end + unconverted * (len(assigned) + 1)
+                    bumped = (n in assigned
+                              and plain_end <= threshold < plain_end + unconverted)
+                    grow = 2 if bumped else 1
+                    unconverted -= 1
+
+                if assign_phase:
+                    new_rank = f[assign_phase + 1] + rank
+                    if new_rank in assigned:  # pragma: no cover - weights guard it
+                        raise ConfigurationError(
+                            f"rank {new_rank} would be assigned twice "
+                            f"(phase {assign_phase})"
+                        )
+                    assigned.add(new_rank)
+                    ranked += 1
+                    if rank < rpp[assign_phase]:
+                        rank += 1
+                    elif assign_phase < limit:
+                        leader_ranked = False
+                        ranked -= 1
+                        wait = wait_init
+                        rank = 0
+                if drop:
+                    count = counts.get(drop, 0)
+                    if count == 1:
+                        del counts[drop]
+                    elif count > 1:
+                        counts[drop] = count - 1
+                    else:  # pragma: no cover - guarded by the weights
+                        raise ConfigurationError(f"no phase-{drop} agents to remove")
+                    total_phase -= 1
+                if grow:
+                    if grow > limit:
+                        grow = limit
+                    counts[grow] = counts.get(grow, 0) + 1
+                    total_phase += 1
+                events += 1
+
+                if ranked >= next_milestone:
+                    for name, count in thresholds:
+                        if name not in reached and ranked >= count:
+                            reached[name] = interactions
+                    next_milestone = min(
+                        (count for name, count in thresholds if name not in reached),
+                        default=n + 1,
+                    )
+        finally:
+            self._unconverted = unconverted
+            self._total_phase = total_phase
+            self._leader_mode = "rank" if leader_ranked else "wait"
+            self._leader_rank = rank
+            self._leader_wait = wait
+            self._interactions = interactions
+            self._events = events
+            self._uniforms = uniforms
+            self._uniform_pos = pos
+        return events - start_events
+
+    # ------------------------------------------------------------------
     # Convenience for experiments
     # ------------------------------------------------------------------
     def milestone_predicates(self, fractions) -> Dict[str, object]:
-        """Milestone predicates "at least ``fraction`` of the agents ranked"."""
-        def make(threshold: float):
-            return lambda: self.ranked_count() >= threshold * self.n
+        """Milestone predicates "at least ``fraction`` of the agents ranked".
 
-        return {f"ranked_{fraction}": make(fraction) for fraction in fractions}
+        Each predicate is a plain callable; the fused event loop reads its
+        integer threshold instead of calling it after every event.
+        """
+        return {
+            f"ranked_{fraction}": _RankedAtLeast(self, ceil(fraction * self.n))
+            for fraction in fractions
+        }
+
+
+class _RankedAtLeast:
+    """Milestone predicate "at least ``count`` agents of ``simulator`` ranked".
+
+    ``ranked_count() >= fraction * n`` holds exactly when the integer
+    ranked count reaches ``ceil(fraction * n)``, so ``count`` is that
+    ceiling.
+    """
+
+    __slots__ = ("simulator", "count")
+
+    def __init__(self, simulator: AggregateSpaceEfficientRanking, count: int):
+        self.simulator = simulator
+        self.count = count
+
+    def __call__(self) -> bool:
+        return self.simulator.ranked_count() >= self.count

@@ -8,9 +8,11 @@ and the unified row schema round-trips through JSON and CSV.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ExperimentError
+from repro.experiments.figure3 import figure3_specs
 from repro.experiments.store import ResultStore
 from repro.experiments.study import (
     ExperimentSpec,
@@ -20,6 +22,9 @@ from repro.experiments.study import (
     execute_cell,
 )
 import repro.experiments.study as study_module
+from repro.protocols.ranking.aggregate_space_efficient import (
+    AggregateSpaceEfficientRanking,
+)
 
 
 def small_spec(**overrides):
@@ -354,6 +359,33 @@ class TestMeasurements:
         result = Study(spec, name="agg").run()
         assert all(row.converged for row in result.rows)
         assert all(row.milestones["ranked_0.5"] > 0 for row in result.rows)
+
+    def test_aggregate_engine_honours_the_budget(self):
+        spec = figure3_specs(
+            n_values=(128,), repetitions=1, max_interactions_factor=1.0
+        )[0]
+        row = Study(spec, name="budget").run().rows[0]
+        assert row.engine == "aggregate"
+        assert not row.converged
+        assert row.interactions == 128 * 128
+        assert all(value <= 128 * 128 for value in row.milestones.values())
+
+    def test_aggregate_engine_runs_on_after_the_last_milestone(self):
+        # Unlike the agent-level executor, the aggregate engine does not
+        # stop at the last milestone: the row's interactions are the
+        # full-ranking time of the same trajectory.
+        spec = figure3_specs(n_values=(128,), repetitions=1, fractions=(0.5,))[0]
+        row = Study(spec, name="run-on").run().rows[0]
+        assert row.engine == "aggregate"
+        assert row.converged
+        assert row.interactions > row.milestones["ranked_0.5"]
+        _, run_seq, _ = study_module._cell_rng_sequences(spec, 128, 0)
+        engine = AggregateSpaceEfficientRanking(
+            128, random_state=np.random.default_rng(run_seq)
+        )
+        full = engine.run(max_interactions=10**12)
+        assert full.converged
+        assert row.interactions == full.interactions
 
     def test_series_recording(self):
         spec = ExperimentSpec(

@@ -1,0 +1,173 @@
+"""Differential test: the aggregate engine's fused event loop ≡ its specification.
+
+``AggregateSpaceEfficientRanking.run`` applies events through a fused loop
+that keeps the state in locals.  ``event_weights`` / ``step_event`` /
+``apply_event`` remain the readable specification of the same process.  For
+any population, start, budget and milestone set, both must leave the same
+result, the same aggregate state and the same uniform cursor.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.aggregate import AggregateResult
+from repro.protocols.ranking.aggregate_space_efficient import (
+    AggregateSpaceEfficientRanking,
+)
+
+
+def specification_run(engine, max_interactions, milestones, applied=None):
+    """``run`` written against the specification: one ``step_event`` at a time.
+
+    ``applied`` (a list), when given, collects the applied event names.
+    """
+    reached = {}
+    budget_end = engine.interactions + max_interactions
+
+    def check():
+        for name, predicate in milestones.items():
+            if name not in reached and predicate():
+                reached[name] = engine.interactions
+
+    check()
+    while not engine.is_done() and engine.interactions < budget_end:
+        name = engine.step_event(limit=budget_end)
+        if name is None:
+            break
+        if applied is not None:
+            applied.append(name)
+        check()
+    return AggregateResult(
+        converged=engine.is_done(),
+        interactions=engine.interactions,
+        events=engine.events,
+        milestones=reached,
+    )
+
+
+def snapshot(engine):
+    """Every piece of state the next event depends on, in comparable form."""
+    return (
+        list(engine._phase_counts.items()),  # insertion order fixes class order
+        engine._total_phase,
+        sorted(engine._assigned),
+        engine.unconverted,
+        engine.leader_mode,
+        engine._leader_rank,
+        engine._leader_wait,
+        engine.interactions,
+        engine.events,
+        engine._uniform_pos,
+        list(engine._uniforms),
+    )
+
+
+def build(n, seed, start):
+    if start == "start-ranking":
+        return AggregateSpaceEfficientRanking.from_start_ranking(n, random_state=seed)
+    return AggregateSpaceEfficientRanking(n, random_state=seed)
+
+
+def milestones_for(engine, fractions, observed, calls):
+    milestones = engine.milestone_predicates(fractions)
+    if observed:
+        # Non-threshold predicates over the live state, neither monotone
+        # nor a ranked-count bound: the fused loop must evaluate them after
+        # every event, as the specification does.
+        def leader_waiting():
+            calls.append(engine.events)
+            return engine.leader_mode == "wait"
+
+        milestones["leader_waiting"] = leader_waiting
+        milestones["two_phases"] = lambda: len(engine.phase_counts) >= 2
+    return milestones
+
+
+#: Tiny populations reach the rare classes (a conversion bumped to phase 2,
+#: a conversion by the waiting leader), so they are drawn often.
+populations = st.one_of(
+    st.integers(min_value=4, max_value=8), st.integers(min_value=4, max_value=512)
+)
+
+
+@given(
+    n=populations,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start=st.sampled_from(["figure3", "start-ranking"]),
+    budget_factor=st.one_of(st.none(), st.floats(min_value=0.0, max_value=8.0)),
+    fractions=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), max_size=5, unique=True
+    ),
+    observed=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_fused_run_equals_the_step_event_loop(
+    n, seed, start, budget_factor, fractions, observed
+):
+    budget = 10**12 if budget_factor is None else int(budget_factor * n * n)
+    fused, specified = build(n, seed, start), build(n, seed, start)
+    fused_calls, specified_calls = [], []
+
+    fused_result = fused.run(
+        budget, milestones=milestones_for(fused, fractions, observed, fused_calls)
+    )
+    specified_result = specification_run(
+        specified,
+        budget,
+        milestones_for(specified, fractions, observed, specified_calls),
+    )
+
+    assert fused_result == specified_result
+    assert list(fused_result.milestones) == list(specified_result.milestones)
+    assert snapshot(fused) == snapshot(specified)
+    assert fused_calls == specified_calls
+
+
+@given(
+    n=st.integers(min_value=4, max_value=256),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start=st.sampled_from(["figure3", "start-ranking"]),
+    first_factor=st.floats(min_value=0.0, max_value=4.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_clamped_run_resumes_on_the_specification_trajectory(
+    n, seed, start, first_factor
+):
+    """A budget-clamped fused run hands back a state the spec continues from."""
+    fused, specified = build(n, seed, start), build(n, seed, start)
+    first = int(first_factor * n * n)
+    fused.run(first, milestones=fused.milestone_predicates((0.5,)))
+    specification_run(specified, first, specified.milestone_predicates((0.5,)))
+    assert snapshot(fused) == snapshot(specified)
+
+    # Continue the fused engine with step_event and the specification
+    # engine with the fused loop: the trajectories must stay together.
+    specification_run(fused, 10**12, {})
+    specified.run(10**12)
+    assert snapshot(fused) == snapshot(specified)
+    assert fused.is_done()
+
+
+def test_rare_event_classes_are_covered():
+    """Deterministic sweep over the tiny populations that reach every class."""
+    applied = []
+    for n in (4, 5, 6):
+        for seed in range(150):
+            fused, specified = build(n, seed, "figure3"), build(n, seed, "figure3")
+            fused_result = fused.run(
+                10**9, milestones=fused.milestone_predicates((0.5, 1.0))
+            )
+            specified_result = specification_run(
+                specified,
+                10**9,
+                specified.milestone_predicates((0.5, 1.0)),
+                applied,
+            )
+            assert fused_result == specified_result
+            assert snapshot(fused) == snapshot(specified)
+    kinds = {name.split(":")[0] for name in applied}
+    assert kinds >= {
+        "convert_by_leader", "convert_by_waiting", "wait_tick", "assign",
+        "bump", "merge", "convert_join", "convert_plain", "convert_bumped",
+        "convert_plain_responder",
+    }

@@ -10,6 +10,7 @@ aggregate engine at population sizes the reference cannot handle).
 import numpy as np
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.core.simulation import Simulator
 from repro.experiments.workloads import figure3_initial_configuration
 from repro.protocols.ranking.aggregate_space_efficient import (
@@ -30,6 +31,14 @@ class TestAggregateEngineBasics:
         weights = engine.event_weights()
         assert all(weight > 0 for weight in weights.values())
         assert sum(weights.values()) <= engine.total_ordered_pairs
+
+    @pytest.mark.parametrize(
+        "name", ["teleport", "assign:", "wait_tick:1", "convert_plain:2"]
+    )
+    def test_unknown_event_names_are_rejected(self, name):
+        engine = AggregateSpaceEfficientRanking(16, random_state=0)
+        with pytest.raises(ConfigurationError):
+            engine.apply_event(name)
 
     def test_runs_to_completion(self):
         engine = AggregateSpaceEfficientRanking(128, random_state=1)
