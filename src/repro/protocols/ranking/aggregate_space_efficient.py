@@ -47,7 +47,7 @@ validated to be statistically irrelevant by the test suite, see DESIGN.md):
 from __future__ import annotations
 
 from math import ceil, log1p
-from typing import Dict, Optional
+from typing import Dict
 
 from ...core.aggregate import EventDrivenSimulator
 from ...core.errors import ConfigurationError, SimulationLimitExceeded
@@ -217,21 +217,33 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
+    #: Number of phase arguments of each event kind (``"merge:2:3"``).
+    _EVENT_ARITY = {"assign": 1, "bump": 1, "merge": 2, "convert_join": 1}
+
     def apply_event(self, name: str) -> None:
         kind, _, argument = name.partition(":")
-        if kind == "assign" and argument:
-            self._apply_assignment(int(argument))
-        elif kind == "bump" and argument:
-            phase = int(argument)
-            self._remove_phase_agent(phase)
-            self._add_phase_agent(phase + 1)
-        elif kind == "merge" and argument:
-            low, high = (int(part) for part in argument.split(":"))
-            self._remove_phase_agent(low)
-            self._add_phase_agent(high)
-        elif kind == "convert_join" and argument:
+        try:
+            phases = [int(part) for part in argument.split(":")] if argument else []
+        except ValueError:
+            phases = None
+        # Every phase-argument event involves an agent of each named phase.
+        if (
+            phases is None
+            or len(phases) != self._EVENT_ARITY.get(kind, 0)
+            or any(phase not in self._phase_counts for phase in phases)
+        ):
+            raise ConfigurationError(f"inapplicable aggregate event {name!r}")
+        if kind == "assign":
+            self._apply_assignment(phases[0])
+        elif kind == "bump":
+            self._remove_phase_agent(phases[0])
+            self._add_phase_agent(phases[0] + 1)
+        elif kind == "merge":
+            self._remove_phase_agent(phases[0])
+            self._add_phase_agent(phases[1])
+        elif kind == "convert_join":
             self._unconverted -= 1
-            self._add_phase_agent(int(argument))
+            self._add_phase_agent(phases[0])
         elif name == "wait_tick":
             self._tick_wait()
         elif name == "convert_by_leader":
@@ -331,30 +343,22 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
                 [(name, predicate.count) for name, predicate in pending],
                 reached,
             )
-            return
-        # Arbitrary predicates read the simulator's attributes, so the fused
-        # loop hands its state back after every event for them.
-        while not self.is_done() and self._interactions < budget_end:
-            if not self._fused_events(budget_end, [], reached, max_events=1):
-                break
-            self._check_milestones(milestones, reached)
+        else:
+            # Arbitrary predicates read the live state after every event,
+            # which the specification loop provides on the same trajectory.
+            super()._event_loop(budget_end, milestones, reached)
 
     def _fused_events(
-        self,
-        budget_end: int,
-        thresholds: list,
-        reached: Dict[str, int],
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Apply events with the state in locals; return how many were applied.
+        self, budget_end: int, thresholds: list, reached: Dict[str, int]
+    ) -> None:
+        """Apply events with the state in locals until done or stopped.
 
         Samples exactly what :meth:`step_event` samples — same class order,
         same uniform draws — but computes the total weight in closed form and
         applies the chosen event inline.  ``thresholds`` lists
         ``(milestone name, ranked count)`` pairs, recorded in order as the
         ranked counter reaches them.  Stops when done, on a dead
-        configuration, when a waiting time is clamped at ``budget_end``, or
-        after ``max_events`` events.
+        configuration, or when a waiting time is clamped at ``budget_end``.
         """
         n = self._n
         total_pairs = self._total_pairs
@@ -373,14 +377,13 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         rank = self._leader_rank
         wait = self._leader_wait
         interactions = self._interactions
-        events = start_events = self._events
+        events = self._events
         uniforms = self._uniforms
         pos = self._uniform_pos
         ranked = len(assigned) + leader_ranked
         next_milestone = min((count for _, count in thresholds), default=n + 1)
-        events_end = -1 if max_events is None else events + max_events
         try:
-            while ranked != n and interactions < budget_end and events != events_end:
+            while ranked != n and interactions < budget_end:
                 # Class weights in event_weights() order: leader classes,
                 # then per phase (assign, bump, convert_join), then merges,
                 # then the conversions by ranked agents.
@@ -547,7 +550,6 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             self._events = events
             self._uniforms = uniforms
             self._uniform_pos = pos
-        return events - start_events
 
     # ------------------------------------------------------------------
     # Convenience for experiments

@@ -33,12 +33,26 @@ class TestAggregateEngineBasics:
         assert sum(weights.values()) <= engine.total_ordered_pairs
 
     @pytest.mark.parametrize(
-        "name", ["teleport", "assign:", "wait_tick:1", "convert_plain:2"]
+        "name",
+        [
+            "teleport", "assign:", "wait_tick:1", "convert_plain:2",
+            "merge:1", "merge:a:b", "assign:x", "bump:1:2", "convert_join:",
+        ],
     )
     def test_unknown_event_names_are_rejected(self, name):
-        engine = AggregateSpaceEfficientRanking(16, random_state=0)
+        engine = AggregateSpaceEfficientRanking.from_start_ranking(16, random_state=0)
         with pytest.raises(ConfigurationError):
             engine.apply_event(name)
+
+    @pytest.mark.parametrize(
+        "name", ["assign:7", "bump:2", "merge:1:9", "convert_join:3"]
+    )
+    def test_events_on_absent_phases_are_rejected(self, name):
+        engine = AggregateSpaceEfficientRanking.from_start_ranking(16, random_state=0)
+        before = engine.phase_counts
+        with pytest.raises(ConfigurationError):
+            engine.apply_event(name)
+        assert engine.phase_counts == before
 
     def test_runs_to_completion(self):
         engine = AggregateSpaceEfficientRanking(128, random_state=1)
