@@ -436,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument(
         "--studies", metavar="DIR", default=None,
         help="list the studies under a store root instead: per-study "
-             "queue depth, shard count and completed/total cells",
+             "queue depth, failed jobs, shard count and completed/total "
+             "cells",
     )
 
     run = commands.add_parser("run", help="run one experiment preset")
@@ -711,7 +712,8 @@ def _list_studies(root: str) -> int:
         queue = summary["queue"]
         state = "complete" if summary["complete"] else (
             f"queue {queue['pending']} pending"
-            f" ({queue['active']} active, {queue['stale']} stale)"
+            f" ({queue['active']} active, {queue['stale']} stale,"
+            f" {queue['failed']} failed)"
         )
         engines = ", ".join(
             f"{engine}:{count}"
@@ -723,6 +725,12 @@ def _list_studies(root: str) -> int:
             f"shards {summary['shards']}  {state}"
             + (f"  [{engines}]" if engines else "")
         )
+        for failure in summary["failures"]:
+            print(
+                f"    failed job {failure['job']} n={failure['n']} "
+                f"seeds={failure['seeds']} after {failure['attempts']} "
+                f"attempts: {failure['error']}"
+            )
     return 0
 
 

@@ -64,6 +64,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..core.errors import ExperimentError
 
 __all__ = [
+    "JsonlTail",
     "ResultStore",
     "append_jsonl_line",
     "read_jsonl",
@@ -192,6 +193,91 @@ def read_jsonl(path, strict: bool = True) -> List[dict]:
                 raise ExperimentError(message)
             warnings.warn(message, stacklevel=2)
     return rows
+
+
+class JsonlTail:
+    """Incremental reader of one append-only JSONL file.
+
+    The reader keeps the file's ``(inode, byte offset)`` and each
+    :meth:`read` parses only the complete lines appended since the last
+    one.  A partial final line (a writer mid-append, or killed mid-append)
+    is left unread until it ends in ``\\n``; the torn-tail repair of
+    :func:`append_jsonl_line` truncates only bytes past the offset, so the
+    offset stays valid.  A file that disappears, changes inode, shrinks or
+    no longer starts with the first line read from it is re-read from
+    byte 0, and :meth:`read` reports the reset so callers can rebuild what
+    they derived from the old contents.  A malformed complete line raises
+    :class:`~repro.core.errors.ExperimentError`, as in :func:`read_jsonl`.
+    """
+
+    def __init__(self, path):
+        self._path = Path(path)
+        self._inode: Optional[int] = None
+        self._offset = 0
+        self._lines = 0
+        self._head = b""  # the file's first line, to detect inode reuse
+        #: Records parsed over the reader's lifetime (re-reads count again).
+        self.records_parsed = 0
+
+    @property
+    def path(self) -> Path:
+        return self._path
+
+    def _restart(self, inode: Optional[int]) -> bool:
+        """Rewind to byte 0 of ``inode``; returns whether state was lost."""
+        lost = self._inode is not None
+        self._inode, self._offset, self._lines, self._head = inode, 0, 0, b""
+        return lost
+
+    def _moved(self, descriptor: int, status) -> bool:
+        """Whether the open file is not the one read so far."""
+        if status.st_ino != self._inode or status.st_size < self._offset:
+            return True
+        if not self._offset:
+            return False
+        return (
+            os.pread(descriptor, len(self._head), 0) != self._head
+            or os.pread(descriptor, 1, self._offset - 1) != b"\n"
+        )
+
+    def read(self) -> Tuple[List[dict], bool]:
+        """``(records, reset)``: the complete records appended since the
+        last call, and whether the file restarted (the records then cover
+        it from byte 0)."""
+        try:
+            status = os.stat(self._path)
+            if status.st_ino == self._inode and status.st_size == self._offset:
+                return [], False
+            handle = self._path.open("rb")
+        except OSError:
+            return [], self._restart(None)
+        with handle:
+            status = os.fstat(handle.fileno())
+            reset = False
+            if self._moved(handle.fileno(), status):
+                reset = self._restart(status.st_ino)
+            handle.seek(self._offset)
+            data = handle.read(status.st_size - self._offset)
+        end = data.rfind(b"\n") + 1
+        records: List[dict] = []
+        lines = data[:end].splitlines()
+        for number, line in enumerate(lines, self._lines + 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                # The offset stays put, so every later read raises too.
+                raise ExperimentError(
+                    f"corrupt JSONL file {self._path} "
+                    f"(malformed line {number})"
+                ) from None
+        self._lines += len(lines)
+        if end and not self._offset:
+            self._head = data[:data.index(b"\n") + 1]
+        self._offset += end
+        self.records_parsed += len(records)
+        return records, reset
 
 
 class ResultStore:

@@ -12,8 +12,12 @@ turns the result store into the coordination point so that scale-out is
   identity,
   claimed through atomic lease files with heartbeat + expiry so a crashed
   worker's claim is reclaimed;
+* :class:`StudyLedger` — an incremental view of one study directory
+  (completed cells, pending and failed jobs) that parses each appended
+  record once;
 * :func:`run_worker` — ``repro worker --study DIR`` drains one study's
-  queue from any number of processes or hosts;
+  queue from any number of processes or hosts, recording failed attempts
+  and giving up on a job after a fixed number of them;
 * :class:`StudyService` / :func:`serve` — ``repro serve``, a small
   stdlib HTTP service that accepts spec submissions, reports progress and
   serves completed rows as JSON or CSV.
@@ -24,6 +28,7 @@ however many workers drain a study — and however often a crashed claim is
 re-run — the merged rows are bit-identical to ``Study.run(jobs=1)``.
 """
 
+from .ledger import StudyLedger
 from .queue import Job, JobQueue, Lease
 from .server import StudyService, make_server, serve
 from .store import ShardedResultStore
@@ -34,6 +39,7 @@ __all__ = [
     "JobQueue",
     "Lease",
     "ShardedResultStore",
+    "StudyLedger",
     "StudyService",
     "make_server",
     "run_worker",

@@ -5,6 +5,7 @@ no broker — any process that can see the filesystem can submit or drain::
 
     <study-dir>/queue/
       jobs.jsonl           # append-only job manifest (deduped by job id)
+      failures.jsonl       # append-only record of every failed attempt
       leases/<jobid>.json  # one atomic claim file per in-flight job
 
 A *job* wraps one work unit of the study planner
@@ -32,6 +33,15 @@ the job.  That is harmless: cells are deterministic in their coordinates,
 so duplicate rows are bit-identical and the store's later-duplicate-wins
 union collapses them.  Correctness rides on determinism; the leases only
 exist to keep the *work* (not the results) from being duplicated.
+
+A job whose execution raises is not retried forever: the worker appends
+one record per failed attempt to ``failures.jsonl`` and releases the
+lease, and a job with :data:`MAX_FAILED_ATTEMPTS` recorded failures is
+*failed* — no longer pending, reported by :meth:`JobQueue.stats`.
+
+The manifest and the failure log are read incrementally
+(:class:`~repro.experiments.store.JsonlTail`): one queue object parses
+each record once, however often it is asked for pending jobs.
 """
 
 from __future__ import annotations
@@ -41,14 +51,24 @@ import json
 import os
 import socket
 import time
+import traceback
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ExperimentError
-from ..experiments.store import CellKey, append_jsonl_line, read_jsonl
+from ..experiments.store import CellKey, JsonlTail, append_jsonl_line
 
-__all__ = ["Job", "JobQueue", "Lease", "job_for_unit"]
+__all__ = [
+    "Job", "JobQueue", "Lease", "MAX_FAILED_ATTEMPTS", "job_for_unit",
+]
+
+#: Recorded failed attempts after which a job is ``failed`` (not retried).
+MAX_FAILED_ATTEMPTS = 3
+
+#: Innermost traceback frames kept in a failure record.
+_TRACEBACK_FRAMES = 4
 
 
 @dataclass(frozen=True)
@@ -68,7 +88,7 @@ class Job:
             return ("batch", self.payload, self.n, self.seed_indices)
         return ("cell", self.payload, self.n, self.seed_indices[0])
 
-    @property
+    @cached_property
     def cell_keys(self) -> List[CellKey]:
         """The store keys this job produces when complete."""
         variant = self.payload["variant"]
@@ -156,13 +176,25 @@ class JobQueue:
         self._directory = Path(directory)
         self._queue_dir = self._directory / "queue"
         self._jobs_path = self._queue_dir / "jobs.jsonl"
+        self._failures_path = self._queue_dir / "failures.jsonl"
         self._leases_dir = self._queue_dir / "leases"
         self._lease_timeout = float(lease_timeout)
+        self._manifest = JsonlTail(self._jobs_path)
+        self._jobs: Dict[str, Job] = {}
+        self._failure_log = JsonlTail(self._failures_path)
+        self._failures: Dict[str, List[dict]] = {}
 
     @property
     def jobs_path(self) -> Path:
         """The append-only job manifest."""
         return self._jobs_path
+
+    @property
+    def records_parsed(self) -> int:
+        """Manifest and failure records this queue object has parsed."""
+        return (
+            self._manifest.records_parsed + self._failure_log.records_parsed
+        )
 
     @property
     def lease_timeout(self) -> float:
@@ -192,22 +224,68 @@ class JobQueue:
 
     def jobs(self) -> List[Job]:
         """Every job in the manifest, in submission order (deduped)."""
-        jobs: Dict[str, Job] = {}
-        for record in read_jsonl(self._jobs_path):
-            job = Job.from_dict(record)
-            jobs.setdefault(job.id, job)
-        return list(jobs.values())
+        records, reset = self._manifest.read()
+        if reset:
+            self._jobs.clear()
+        for record in records:
+            if record["id"] not in self._jobs:
+                self._jobs[record["id"]] = Job.from_dict(record)
+        return list(self._jobs.values())
+
+    # ------------------------------------------------------------------
+    # Failures
+    # ------------------------------------------------------------------
+    def record_failure(self, job: Job, worker_id: str,
+                       error: BaseException) -> dict:
+        """Append one failed attempt of ``job`` to the failure log.
+
+        The record names the worker and the exception, plus a short
+        traceback digest: the innermost :data:`_TRACEBACK_FRAMES` frames
+        as ``file:line:function``, outermost first.
+        """
+        frames = traceback.extract_tb(error.__traceback__)
+        record = {
+            "job": job.id,
+            "worker": worker_id,
+            "error": type(error).__name__,
+            "message": str(error),
+            "traceback": " > ".join(
+                f"{Path(frame.filename).name}:{frame.lineno}:{frame.name}"
+                for frame in frames[-_TRACEBACK_FRAMES:]
+            ),
+        }
+        append_jsonl_line(self._failures_path, record, fsync=True)
+        return record
+
+    def failures(self) -> Dict[str, List[dict]]:
+        """Every recorded failed attempt, grouped by job id."""
+        records, reset = self._failure_log.read()
+        if reset:
+            self._failures.clear()
+        for record in records:
+            self._failures.setdefault(record["job"], []).append(record)
+        return self._failures
+
+    def failed(self) -> Dict[str, List[dict]]:
+        """The failed attempts of every job that reached the cap."""
+        return {
+            job_id: attempts
+            for job_id, attempts in self.failures().items()
+            if len(attempts) >= MAX_FAILED_ATTEMPTS
+        }
 
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
     def pending(self, completed: Collection[CellKey]) -> List[Job]:
-        """Jobs with at least one cell missing from ``completed``."""
-        completed = set(completed)
+        """Jobs with a cell missing from ``completed``, except failed ones."""
+        if not isinstance(completed, (set, frozenset)):
+            completed = set(completed)
+        failed = self.failed()
         return [
             job
             for job in self.jobs()
-            if any(key not in completed for key in job.cell_keys)
+            if job.id not in failed and not completed.issuperset(job.cell_keys)
         ]
 
     def _lease_path(self, job: Job) -> Path:
@@ -268,12 +346,18 @@ class JobQueue:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self, completed: Collection[CellKey]) -> dict:
-        """Queue depth and lease states against a completed-cell set."""
+        """Queue depth, lease states and failed jobs against a
+        completed-cell set."""
         jobs = self.jobs()
-        completed = set(completed)
-        depth = active = stale = 0
+        if not isinstance(completed, (set, frozenset)):
+            completed = set(completed)
+        failed_ids = self.failed()
+        depth = active = stale = failed = 0
         for job in jobs:
-            if all(key in completed for key in job.cell_keys):
+            if completed.issuperset(job.cell_keys):
+                continue
+            if job.id in failed_ids:
+                failed += 1
                 continue
             depth += 1
             state = self.lease_state(job)
@@ -286,4 +370,5 @@ class JobQueue:
             "pending": depth,
             "active": active,
             "stale": stale,
+            "failed": failed,
         }

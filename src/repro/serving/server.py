@@ -4,15 +4,17 @@ The service is deliberately small and stdlib-only
 (:class:`http.server.ThreadingHTTPServer`): it owns no execution.  A
 submission plans the study's missing cells into queue jobs (through the
 exact planner ``Study.run`` uses, one job per cell); any number of
-``repro worker`` processes drain them; the service reads the store's
-union view to answer progress and result queries.  Endpoints::
+``repro worker`` processes drain them; the service answers progress
+from one incremental :class:`~repro.serving.ledger.StudyLedger` per study
+and result queries from the store's union view.  Endpoints::
 
     GET  /                        service + study overview
     GET  /studies                 one summary per study under the root
     POST /studies                 submit {"name": ..., "specs": [...]}
     GET  /studies/<id>            progress (done/total, per-backend,
-                                  queue depth, shards); ?watch=SECONDS
-                                  long-polls until progress changes
+                                  queue depth, failed jobs, shards);
+                                  ?watch=SECONDS long-polls until
+                                  progress changes
     GET  /studies/<id>/rows       completed rows as JSON
     GET  /studies/<id>/rows.csv   completed rows as flat CSV
 
@@ -29,6 +31,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -37,7 +40,7 @@ from typing import Dict, List, Optional
 from ..core.errors import ExperimentError
 from ..experiments.store import ResultStore
 from ..experiments.study import ExperimentSpec, RunRow, Study, plan_units
-from .queue import JobQueue
+from .ledger import StudyLedger
 
 __all__ = ["StudyService", "make_server", "serve"]
 
@@ -65,6 +68,8 @@ class StudyService:
         self._lease_timeout = float(lease_timeout)
         self._workers = int(workers)
         self._worker_processes: Dict[str, List[subprocess.Popen]] = {}
+        self._ledgers: Dict[str, StudyLedger] = {}
+        self._ledger_lock = threading.Lock()  # handler threads share them
 
     @property
     def root(self) -> Path:
@@ -125,8 +130,8 @@ class StudyService:
         )
         known = store.load()
         units = plan_units(specs, known.keys())
-        queue = JobQueue(store.directory, lease_timeout=self._lease_timeout)
-        added = queue.enqueue_units(units)
+        with self._ledger_lock:
+            added = self._ledger(store.directory).queue.enqueue_units(units)
         self._ensure_workers(store.directory)
         summary = self.progress(store.directory.name)
         summary["enqueued_jobs"] = len(added)
@@ -192,16 +197,28 @@ class StudyService:
         ]
         return store, specs
 
+    def _ledger(self, directory: Path) -> StudyLedger:
+        """The study's ledger, opened on first use (hold the lock)."""
+        ledger = self._ledgers.get(directory.name)
+        if ledger is None:
+            ledger = StudyLedger(directory, lease_timeout=self._lease_timeout)
+            self._ledgers[directory.name] = ledger
+        return ledger
+
     def studies(self) -> List[dict]:
         """One progress summary per study directory under the root."""
         return [self.progress(path.name) for path in self._study_dirs()]
 
     def progress(self, study_id: str) -> dict:
-        """Done/total cells, per-backend breakdown, queue depth, shards.
+        """Done/total cells, per-backend breakdown, queue depth, failed
+        jobs, shards.
 
         The matrix (and so ``total``) comes from the latest recorded
         spec.json — an extension submission rewrites it, so progress
-        always tracks the widest requested matrix.
+        always tracks the widest requested matrix.  Cells and jobs come
+        from the study's ledger, which parses only what was appended
+        since the previous call.  ``failures`` lists each failed job with
+        its attempt count and last error.
         """
         store, specs = self._open(study_id)
         matrix = [
@@ -210,13 +227,30 @@ class StudyService:
             for n in spec.n_values
             for seed in range(spec.seeds)
         ]
-        rows = store.load()
-        done = [key for key in matrix if key in rows]
-        by_engine: Dict[str, int] = {}
-        for key in done:
-            engine = rows[key].get("engine", "?")
-            by_engine[engine] = by_engine.get(engine, 0) + 1
-        queue = JobQueue(store.directory, lease_timeout=self._lease_timeout)
+        with self._ledger_lock:
+            ledger = self._ledger(store.directory).refresh()
+            completed, engines = ledger.completed, ledger.engines
+            done = [key for key in matrix if key in completed]
+            by_engine: Dict[str, int] = {}
+            for key in done:
+                by_engine[engines[key]] = by_engine.get(engines[key], 0) + 1
+            queue = ledger.queue
+            stats = queue.stats(completed)
+            failed = queue.failed()
+            failures = []
+            for job in queue.jobs():
+                attempts = failed.get(job.id)
+                if attempts and not completed.issuperset(job.cell_keys):
+                    failures.append({
+                        "job": job.id,
+                        "n": job.n,
+                        "seeds": list(job.seed_indices),
+                        "attempts": len(attempts),
+                        "error": (
+                            f"{attempts[-1]['error']}: "
+                            f"{attempts[-1]['message']}"
+                        ),
+                    })
         return {
             "study": study_id,
             "name": store.read_spec().get("study", study_id),
@@ -225,7 +259,8 @@ class StudyService:
             "done": len(done),
             "complete": len(done) == len(matrix),
             "by_engine": dict(sorted(by_engine.items())),
-            "queue": queue.stats(rows.keys()),
+            "queue": stats,
+            "failures": failures,
             "shards": len(store.shard_paths()),
         }
 

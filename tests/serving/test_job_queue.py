@@ -94,7 +94,7 @@ class TestQueue:
         done = [("sr", 8, 0), ("sr", 8, 1), ("sr", 8, 2)]
         assert queue.pending(done) == []
         assert queue.stats(done) == {
-            "jobs": 3, "pending": 0, "active": 0, "stale": 0,
+            "jobs": 3, "pending": 0, "active": 0, "stale": 0, "failed": 0,
         }
 
     def test_figure2_seed_group_plans_one_job_per_cell(self, tmp_path):
@@ -152,7 +152,7 @@ class TestLeases:
         stale = time.time() - 5.0
         os.utime(stale_lease.path, (stale, stale))
         assert queue.stats([]) == {
-            "jobs": 3, "pending": 3, "active": 1, "stale": 1,
+            "jobs": 3, "pending": 3, "active": 1, "stale": 1, "failed": 0,
         }
 
     def test_lease_timeout_must_be_positive(self, tmp_path):
