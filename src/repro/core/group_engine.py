@@ -46,11 +46,13 @@ Two sampling paths keep the per-event cost low:
   renormalization;
 * when exactly one productive pair has positive weight and the states it
   touches are touched by no other productive pair, a whole run of events is
-  batched: the weight sequence along the batch is computed vectorized, one
-  vectorized ``rng.geometric`` call draws every waiting time, and milestones
-  are read off the cumulative sum.  The one-way epidemic completes its whole
-  ``n - m`` informings as a single batch, which is what makes ``n = 10^6``
-  sweeps take milliseconds instead of minutes.
+  batched: one streamed pass over blocks of ``_BATCH_BLOCK`` events builds
+  each block's weights vectorized, draws its waiting times with one
+  ``rng.geometric`` call, and reads the budget crossing and the milestones
+  off running sums, so memory stays ``O(block)`` whatever the batch length.
+  The one-way epidemic completes its whole ``n - m`` informings as a single
+  batch, which is what makes ``n = 10^6`` sweeps take milliseconds instead
+  of minutes.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ __all__ = [
 
 #: Tabulation budget: distinct ever-occupied states before the run aborts.
 DEFAULT_MAX_STATES = 4096
+
+#: Events per block of the streamed single-pair batch: a handful of float64
+#: and int64 buffers of this length stay cache-resident and amortize numpy's
+#: per-call overhead, and no buffer ever grows with ``n``.
+_BATCH_BLOCK = 1 << 16
 
 
 class CountGoal:
@@ -725,42 +732,124 @@ class GroupCountSimulator:
                 # fall back to event-by-event stepping.
                 length = 1
 
-        # … and the pair weight must stay positive along the whole stretch.
-        steps = np.arange(length, dtype=np.int64)
-        count_i = int(self._counts[i]) + deltas.get(i, 0) * steps
+        # … and the pair weight must stay positive along the whole stretch
+        # (the streamed pass cuts the batch at the first non-positive one).
+        count_i = (int(self._counts[i]), deltas.get(i, 0))
         if i == j:
-            weights = count_i * (count_i - 1)
+            count_j = (count_i[0] - 1, count_i[1])
         else:
-            count_j = int(self._counts[j]) + deltas.get(j, 0) * steps
-            weights = count_i * count_j
-        exhausted = np.nonzero(weights <= 0)[0]
-        if exhausted.shape[0]:
-            length = int(exhausted[0])
-            weights = weights[:length]
+            count_j = (int(self._counts[j]), deltas.get(j, 0))
+        marks: List[int] = []
+        if pending and measure_delta > 0:
+            horizon = measure_before + measure_delta * length
+            for threshold, _ in pending:
+                if threshold > horizon:
+                    break
+                events_needed = max(
+                    1, ceil((threshold - measure_before) / measure_delta)
+                )
+                marks.append(events_needed - 1)
+        remaining = budget_end - self._interactions
+        length, applied, elapsed, marked = _stream_waits(
+            self._rng, count_i, count_j, length, self._total_pairs, remaining,
+            marks,
+        )
         if length == 0:  # pragma: no cover - W > 0 guarantees length >= 1
             return False
-
-        probabilities = weights / self._total_pairs
-        waits = self._rng.geometric(probabilities)
-        cumulative = np.cumsum(waits)
-        remaining = budget_end - self._interactions
-        applied = int(np.searchsorted(cumulative, remaining, side="right"))
         clamped = applied < length
 
         if pending and measure_delta > 0 and applied:
             horizon = measure_before + measure_delta * applied
-            while pending and pending[0][0] <= horizon:
-                threshold, name = pending.pop(0)
-                events_needed = max(
-                    1, ceil((threshold - measure_before) / measure_delta)
-                )
-                reached[name] = self._interactions + int(
-                    cumulative[events_needed - 1]
-                )
+            for waited in marked:
+                if pending[0][0] > horizon:
+                    break
+                reached[pending.pop(0)[1]] = self._interactions + waited
         if applied:
             self._apply_deltas(deltas, repeat=applied)
             self._events += applied
-            self._interactions += int(cumulative[applied - 1])
+            self._interactions += elapsed
         if clamped:
             self._interactions = budget_end
         return True
+
+
+def _stream_waits(
+    rng: np.random.Generator,
+    count_i: Tuple[int, int],
+    count_j: Tuple[int, int],
+    length: int,
+    total_pairs: int,
+    remaining: int,
+    marks: Sequence[int],
+) -> Tuple[int, int, int, List[int]]:
+    """Draw the waiting times of a single-pair batch in fixed-size blocks.
+
+    Before its ``k``-th event the pair has weight
+    ``(c_i + d_i·k)·(c_j + d_j·k)`` for ``count_i = (c_i, d_i)`` and
+    ``count_j = (c_j, d_j)`` (on the diagonal ``c_j = c_i - 1``); its
+    waiting time is geometric with success probability
+    ``weight / total_pairs``.  The batch is cut at the first non-positive
+    weight.  Every block is drawn even after the cumulative wait passes
+    ``remaining``, so the generator ends where one whole-batch
+    ``rng.geometric`` call would leave it.
+
+    Returns ``(length, applied, elapsed, marked)``: the batch length after
+    the cut, the number of leading events whose cumulative wait is at most
+    ``remaining``, their cumulative wait, and the cumulative wait through
+    each 0-based event index of the sorted ``marks`` that is below
+    ``applied``.
+
+    The block arithmetic is exact: the counts are integers below ``2**53``,
+    so the float64 progressions hold them exactly and
+    ``fl(fl(c_i)·fl(c_j)) / fl(W)`` rounds like the integer product
+    ``fl(c_i·c_j) / fl(W)``; ``Generator.geometric`` draws element by
+    element, so blocks consume the stream exactly like one call.
+    """
+    size = min(length, _BATCH_BLOCK)
+    first = np.arange(size, dtype=np.float64)
+    second = first.copy()
+    first *= count_i[1]
+    first += count_i[0]
+    second *= count_j[1]
+    second += count_j[0]
+    weights = np.empty(size)
+    scale = float(total_pairs)
+    applied = None
+    elapsed = 0
+    marked: List[int] = []
+    start = 0
+    while start < length:
+        size = min(_BATCH_BLOCK, length - start)
+        block = np.multiply(first[:size], second[:size], out=weights[:size])
+        exhausted = np.flatnonzero(block <= 0)
+        if exhausted.shape[0]:
+            size = int(exhausted[0])
+            length = start + size
+            if size == 0:
+                break
+            block = block[:size]
+        block /= scale
+        waits = rng.geometric(block)
+        if applied is None:
+            # Only the block holding the budget crossing needs a cumsum.
+            inside = size
+            total = elapsed + int(waits.sum())
+            if total > remaining:
+                inside = int(np.searchsorted(
+                    np.cumsum(waits), remaining - elapsed, side="right"
+                ))
+            for mark in marks[len(marked):]:
+                if mark >= start + inside:
+                    break
+                marked.append(elapsed + int(waits[:mark - start + 1].sum()))
+            if inside < size:
+                applied = start + inside
+                elapsed += int(waits[:inside].sum())
+            else:
+                elapsed = total
+        first += count_i[1] * _BATCH_BLOCK
+        second += count_j[1] * _BATCH_BLOCK
+        start += size
+    if applied is None:
+        applied = length
+    return length, applied, elapsed, marked

@@ -13,7 +13,11 @@ ensembles of independently seeded runs:
   harness's scipy-free KS helper, so the comparison runs on the minimal
   tier-1 environment;
 * chi-square (contingency) on the distribution of the informed count
-  after a fixed interaction budget (scipy-only; skipped without it).
+  after a fixed interaction budget (scipy-only; skipped without it);
+* a z-test of the mean epidemic completion time at ``n = 10^5`` against
+  its exact value — the completion time is a sum of independent
+  geometrics, so its mean and variance are known in closed form and no
+  reference ensemble is needed.
 
 The protocols used here (the one-way epidemic and the Cai baseline) have
 small state spaces that every seed revisits, so one shared
@@ -23,10 +27,13 @@ fixed seeds: the test is deterministic, and the ensembles were checked to
 pass comfortably — a failure means a real distribution change, not noise.
 """
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
 from harness.differential import assert_ks_consistent
+from repro.analysis.theory import complete_epidemic_expected_interactions
 from repro.baselines.cai_ranking import CaiRanking
 from repro.core.group_engine import GroupCountSimulator, GroupTransitionModel
 from repro.core.simulation import Simulator
@@ -150,4 +157,38 @@ class TestFixedBudgetMarginals:
         assert result.pvalue > ALPHA, (
             f"informed-count marginals diverge after T={T}: "
             f"chi2={result.statistic:.2f} p={result.pvalue:.2e}"
+        )
+
+
+class TestExactEpidemicMean:
+    def test_completion_time_mean_at_scale_matches_the_exact_value(self):
+        """z-test of the mean completion time against the sum of geometrics.
+
+        With ``k`` informed agents the wait for the next informing is
+        geometric with ``p_k = k(n-k)/(n(n-1))``, independently across
+        ``k``, so completion has mean ``Σ 1/p_k`` and variance
+        ``Σ (1-p_k)/p_k²`` exactly.  At ``n = 10^5`` every run is one
+        99,999-event single-pair batch spanning two blocks.
+        """
+        n, runs = 100_000, 400
+        protocol = OneWayEpidemicProtocol(n)
+        model = GroupTransitionModel(protocol)
+        profile = protocol.count_profile()
+        times = []
+        for seed in range(runs):
+            result = GroupCountSimulator(
+                protocol, state_counts=profile, model=model,
+                random_state=seed,
+            ).run(max_interactions=10**12)
+            assert result.converged
+            times.append(result.interactions)
+        informed = np.arange(1, n, dtype=np.float64)
+        p = informed * (n - informed) / (n * (n - 1.0))
+        mean = complete_epidemic_expected_interactions(n)
+        assert mean == pytest.approx(float(np.sum(1.0 / p)), rel=1e-12)
+        variance = float(np.sum((1.0 - p) / p**2))
+        z = (np.mean(times) - mean) / np.sqrt(variance / runs)
+        assert abs(z) < NormalDist().inv_cdf(1.0 - ALPHA / 2), (
+            f"mean completion {np.mean(times):.0f} vs exact {mean:.0f} "
+            f"(z = {z:.2f}, alpha = {ALPHA})"
         )
