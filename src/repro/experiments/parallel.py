@@ -6,9 +6,13 @@ so executing them in worker processes is semantically invisible: the rows
 coming back are bit-identical to a serial run, whatever the scheduling.
 This module keeps the mechanics in one place:
 
-* workers are started with the ``spawn`` method (fresh interpreters that
-  re-import :mod:`repro`), so no simulator state leaks between parent and
-  children and the behaviour matches across platforms;
+* workers are started with ``fork`` on Linux when the caller has one live
+  thread, and with ``spawn`` everywhere else (see :func:`_start_method`).
+  A forked worker starts its first cell within milliseconds because it
+  inherits the parent's imported modules and its engine caches, which
+  are exact tabulations and so cannot change a row; it inherits no
+  result-store state, since only the parent appends rows.  A spawned
+  worker re-imports :mod:`repro` and starts cold;
 * each worker keeps the per-process engine caches of
   :mod:`repro.experiments.study` warm, so repeated cells of one variant
   amortize the transition tabulation exactly like a serial sweep;
@@ -20,8 +24,11 @@ This module keeps the mechanics in one place:
 from __future__ import annotations
 
 import multiprocessing
+import sys
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..core.errors import ExperimentError
 from .study import execute_batch, execute_cell
 
 __all__ = ["execute_unit", "run_cells", "run_units", "unit_cell_keys"]
@@ -63,6 +70,21 @@ def unit_cell_keys(unit: UnitArgs) -> List[Tuple[str, int, int]]:
     return [(variant, n, int(unit[3]))]
 
 
+def _start_method() -> str:
+    """The pool's start method: ``fork`` or ``spawn``.
+
+    ``fork`` only on Linux, where it is the platform default, and only
+    while this process has a single live thread: a second thread could
+    hold a lock (logging, an I/O buffer, the import lock) at the moment
+    of the fork and leave it locked forever in the child.  Everything
+    else, including macOS where forking is unsafe with system libraries,
+    uses ``spawn``.
+    """
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
 def run_units(
     units: Sequence[UnitArgs],
     jobs: int = 1,
@@ -76,8 +98,10 @@ def run_units(
         The pending work units, in matrix order.
     jobs:
         ``1`` executes serially in this process (no multiprocessing
-        import cost, easiest to debug); ``> 1`` fans out over a spawn
-        pool of that many workers.
+        import cost, easiest to debug); ``> 1`` fans out over a pool of
+        that many workers, forked or spawned as :func:`_start_method`
+        decides.  Values below 1 raise
+        :class:`~repro.core.errors.ExperimentError`.
     callback:
         Called with each finished row as soon as it is available (in
         completion order under parallel execution).
@@ -89,6 +113,8 @@ def run_units(
         callers that need a canonical order sort by the rows' cell keys
         (the :class:`~repro.experiments.study.Study` does).
     """
+    if jobs < 1:
+        raise ExperimentError("jobs must be positive")
     units = list(units)
     if not units:
         return []
@@ -101,7 +127,7 @@ def run_units(
                     callback(row)
         return rows
 
-    context = multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context(_start_method())
     rows = []
     with context.Pool(processes=min(jobs, len(units))) as pool:
         for unit_rows in pool.imap_unordered(execute_unit, units, chunksize=1):

@@ -747,8 +747,9 @@ class ResultSet:
 # multiprocess fan-out ships (spec, n, seed_index) tuples to workers)
 # ----------------------------------------------------------------------
 
-#: Per-process engine caches, keyed by (spec identity, n): repeated cells
-#: of one variant in one worker share the transition tabulation.
+#: Per-process engine caches, keyed by (spec identity, n, table-store
+#: directory): repeated cells of one variant in one worker share the
+#: transition tabulation.
 _ENGINE_CACHES: Dict[tuple, EngineCache] = {}
 
 
@@ -756,17 +757,19 @@ def _shared_cache(spec, n: int) -> EngineCache:
     """The per-process shared cache for one (variant, n) — persistent when
     a table store is configured (``REPRO_TABLE_CACHE``), plain otherwise.
 
-    The store directory is resolved at cache *creation*: ``Study.run``
-    exports the study's table directory around the fan-out, so both pool
-    workers (which import this module fresh) and the in-process path pick
-    it up here.
+    The store directory is resolved on every call and is part of the
+    cache key, because a cache stays bound to the directory it was
+    created with.  ``Study.run`` exports the study's table directory
+    around the fan-out, so the in-process path, spawned pool workers
+    (which import this module fresh) and forked ones (which inherit the
+    parent's caches) all spill into the current study's store, never
+    into one an earlier study in the same process used.
     """
-    cache_key = (spec.identity_seed(), n)
+    store_dir = resolve_store_dir()
+    cache_key = (spec.identity_seed(), n, store_dir)
     cache = _ENGINE_CACHES.get(cache_key)
     if cache is None:
-        cache = _ENGINE_CACHES[cache_key] = EngineCache(
-            persist_dir=resolve_store_dir()
-        )
+        cache = _ENGINE_CACHES[cache_key] = EngineCache(persist_dir=store_dir)
     return cache
 
 
@@ -1306,9 +1309,9 @@ class Study:
                 progress(row, done, total)
 
         # Fan out with the study's own table directory as the table store
-        # (unless the caller already pinned one): spawn workers inherit
-        # the environment, so every process — and every later run over the
-        # same store — shares one persistent tabulation.
+        # (unless the caller already pinned one): pool workers, forked or
+        # spawned, inherit the environment, so every process — and every
+        # later run over the same store — shares one persistent tabulation.
         exported = (
             _TABLE_CACHE_ENV not in os.environ and self._store is not None
         )

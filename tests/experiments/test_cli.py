@@ -226,6 +226,19 @@ class TestCacheCommand:
         assert code == 1
         assert "unknown protocol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_warm_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        store = tmp_path / "tables"
+        code = main(
+            ["cache", "warm", "--protocol", "stable-ranking", "--n", "8",
+             "--seeds", "2", "--jobs", jobs, "--dir", str(store)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: jobs must be positive"
+        assert "warmed" not in captured.out
+        assert not store.exists()
+
     def test_warm_list_clear_round_trip(self, tmp_path, capsys):
         store = tmp_path / "tables"
         code = main(
