@@ -61,7 +61,7 @@ class TestStartMethod:
 #: background thread alive across the parallel run.
 EQUIVALENCE_SCRIPT = textwrap.dedent(
     """
-    import json, sys, threading
+    import json, threading
     import repro.experiments.parallel as parallel
     from repro.experiments.study import ExperimentSpec, Study
 
