@@ -34,6 +34,12 @@ engine speedups from the recorded timings:
     ``REPRO_BENCH_FULL=1``, 32 otherwise) to convergence, one seed at a
     time on the array engine with a cold cache — the way a study runs
     the cell's seeds.
+``stable_ranking_figure2_cell``
+    Figure 2 cells at the end-to-end benchmark's settings (n=64, 50 n²
+    interactions, 240-sample metric collector, cadence n, no stop): one
+    round is the eight cells one of its two workers runs, seed by seed on
+    one fresh cache, so the round pays the cold tabulation, every kernel
+    call and every snapshot that worker pays.
 ``stable_ranking_tail``
     The stabilization tail (population ranked down to the last two agents),
     which dominates the ``Θ(n² log n)`` total of paper-scale runs and is
@@ -60,7 +66,10 @@ from repro.baselines.cai_ranking import CaiRanking
 from repro.baselines.token_counter_ranking import TokenCounterRanking
 from repro.core.array_engine import ArraySimulator, EngineCache
 from repro.core.configuration import Configuration
+from repro.core.metrics import MetricsCollector, standard_ranking_probes
 from repro.core.simulation import Simulator
+from repro.experiments.study import PROTOCOLS
+from repro.experiments.workloads import figure2_initial_configuration
 from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
 from repro.protocols.ranking.aggregate_space_efficient import (
     AggregateSpaceEfficientRanking,
@@ -380,6 +389,49 @@ def test_study_cell_per_seed_array(benchmark):
         lambda: _run_study_cell_serial(EngineCache()), rounds=1, iterations=1
     )
     _tag_study_cell(benchmark, "array")
+
+
+# ----------------------------------------------------------------------
+# StableRanking n=64: figure2 cells at study settings
+# ----------------------------------------------------------------------
+FIGURE2_N = 64
+FIGURE2_BUDGET = 50 * FIGURE2_N * FIGURE2_N
+FIGURE2_SAMPLES = 240
+FIGURE2_SEEDS = 8
+
+
+def _run_figure2_cells(cache):
+    for seed in range(3000, 3000 + FIGURE2_SEEDS):
+        protocol = PROTOCOLS["stable-ranking-figure2"](
+            FIGURE2_N, c_wait=2.0, c_live=4.0
+        )
+        metrics = MetricsCollector(
+            standard_ranking_probes(),
+            interval=FIGURE2_BUDGET // FIGURE2_SAMPLES,
+        )
+        ArraySimulator(
+            protocol,
+            configuration=figure2_initial_configuration(protocol),
+            random_state=seed,
+            metrics=metrics,
+            cache=cache,
+            convergence_interval=FIGURE2_N,
+        ).run(max_interactions=FIGURE2_BUDGET, stop_on_convergence=False)
+
+
+def test_array_engine_figure2_cell(benchmark):
+    """Eight figure2 cells with their snapshots, on a fresh cache."""
+    benchmark.pedantic(
+        lambda: _run_figure2_cells(EngineCache()), rounds=5, iterations=1
+    )
+    _tag(
+        benchmark,
+        workload="stable_ranking_figure2_cell",
+        engine="array",
+        protocol="stable-ranking",
+        n=FIGURE2_N,
+        interactions=FIGURE2_SEEDS * FIGURE2_BUDGET,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one of the paper's evaluation artifacts (see the
-per-experiment index in DESIGN.md).  By default the benchmarks run a reduced
+CLI cookbook in docs/experiments.md for the figure each one backs).  By default the benchmarks run a reduced
 parameterization that completes in a few minutes on a laptop; set the
 environment variable ``REPRO_BENCH_FULL=1`` to run the paper-scale versions
 (Figure 3 up to ``n = 8192`` with 100 repetitions, Figure 2 at ``n = 256``).

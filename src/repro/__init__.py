@@ -16,8 +16,8 @@ The public API re-exports the most commonly used pieces:
   :class:`ResultSet`) behind the ``python -m repro`` command line.
 
 See ``README.md`` for a quickstart, ``docs/experiments.md`` for the study
-API and CLI cookbook, and ``DESIGN.md`` for the system inventory and the
-per-experiment index.
+API and the CLI cookbook that maps each paper figure to one command, and
+``docs/engines.md`` for the simulation engines.
 """
 
 from .core import (

@@ -8,9 +8,9 @@ explicit "next rank to assign" counter alongside its own role.  The paper's
 contribution is to shrink exactly this overhead to ``O(log² n)``.
 
 This module implements that design point at the level of detail needed for
-the comparison experiments (DESIGN.md, substitution 5).  It reuses the same
-substrates as ``StableRanking`` (``PropagateReset``, ``FastLeaderElection``)
-and differs only in the main protocol:
+the comparison experiments (:mod:`repro.experiments.comparison`).  It
+reuses the same substrates as ``StableRanking`` (``PropagateReset``,
+``FastLeaderElection``) and differs only in the main protocol:
 
 * the elected leader takes rank 1 and additionally carries a counter
   ``aux ∈ {2, …, n+1}`` holding the next rank to hand out — this is the

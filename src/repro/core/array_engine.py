@@ -1029,15 +1029,54 @@ class ArraySimulator:
     # Core advancement
     # ------------------------------------------------------------------
     def _advance(self, count: int) -> None:
-        """Simulate exactly ``count`` further interactions."""
-        done = 0
-        while done < count:
+        """Simulate exactly ``count`` further interactions.
+
+        Metric snapshots that fall due on the way are recorded on their
+        exact interaction: the SoA kernel takes them inside its chunks,
+        the table and object paths run up to each one and record it there.
+        Pairs a path hands back (a demotion, a snapshot stop) return to the
+        buffer for the next round.
+        """
+        end = self._interactions + count
+        while self._interactions < end:
             if self._mode == "object":
-                self._advance_object(count - done)
-                return
-            pairs = self._next_pairs(count - done)
-            self._process_chunk(pairs)
-            done += len(pairs)
+                self._advance_object(self._until_stop(end - self._interactions))
+                self._record_due()
+                continue
+            pairs = self._next_pairs(end - self._interactions)
+            self._pair_cursor -= len(pairs) - self._process_chunk(pairs)
+
+    def _until_stop(self, count: int) -> int:
+        """``count``, or fewer interactions if a metric snapshot falls due
+        on the way.
+
+        A snapshot overdue at the current interaction is taken after the
+        next one, as the reference's per-step ``maybe_record`` takes it.
+        """
+        if self._metrics is None:
+            return count
+        return min(count, max(self._metrics.next_due - self._interactions, 1))
+
+    def _record_due(self) -> None:
+        """Record the metric snapshot due at the current interaction."""
+        metrics = self._metrics
+        if metrics is not None and self._interactions >= metrics.next_due:
+            metrics.record(self._interactions, self._view_configuration())
+
+    def _kernel_stops(self, count: int) -> range:
+        """Offsets of the snapshots due in the next ``count`` interactions."""
+        metrics = self._metrics
+        if metrics is None:
+            return range(0)
+        first = max(metrics.next_due - self._interactions, 1)
+        return range(first, count + 1, metrics.interval)
+
+    def _record_kernel_stop(self, offset: int) -> None:
+        """``on_stop`` for the SoA kernel: the chunk starts at the current
+        interaction until the kernel returns."""
+        self._metrics.record(
+            self._interactions + offset, self._view_configuration()
+        )
 
     def _advance_object(self, count: int) -> None:
         # Drain pairs the table path already sampled into the engine's
@@ -1082,26 +1121,27 @@ class ArraySimulator:
             if result.changed:
                 self._changed_since_check = True
 
-    def _process_chunk(self, pairs: np.ndarray) -> None:
-        """Execute a chunk of pairs exactly, preferring the SoA kernel.
+    def _process_chunk(self, pairs: np.ndarray) -> int:
+        """Execute a prefix of a chunk exactly, preferring the SoA kernel;
+        return the number of pairs executed.
 
         With a protocol-provided :class:`~repro.core.soa.VectorizedKernel`
         attached, the kernel consumes a maximal exact prefix of the chunk
-        in column operations; the first pair it declines (and a bounded
-        segment after it) is resolved by the generic probe-and-walk path,
-        then the kernel is retried on the remainder.  Kernel-hostile
-        regimes (start-up leader election, reset storms) are detected by a
-        strike counter and processed generically for a few chunks before
-        the kernel is retried.  Without a kernel this is exactly the
-        probe-and-walk path.
+        in column operations and takes the metric snapshots due inside it;
+        the first pair it declines (and a bounded segment after it) is
+        resolved by the generic probe-and-walk path, then the kernel is
+        retried on the remainder.  Kernel-hostile regimes (start-up leader
+        election, reset storms) are detected by a strike counter and
+        processed generically for a few chunks before the kernel is
+        retried.  The generic paths stop at the next snapshot, and a
+        demotion to the object path ends the call, so the prefix can be
+        shorter than the chunk.
         """
         if self._soa is None:
-            self._process_chunk_tables(pairs)
-            return
+            return self._tables_to_stop(pairs)
         if self._soa_backoff > 0:
             self._soa_backoff -= 1
-            self._process_chunk_tables(pairs)
-            return
+            return self._tables_to_stop(pairs)
         share_probe = getattr(self._soa, "chunk_scalar_share", None)
         if self._mode == "lazy" and share_probe is not None:
             # Fold the lazy pair cache into the kernel dispatch: in
@@ -1118,8 +1158,7 @@ class ArraySimulator:
                 )
                 novel = int(np.count_nonzero(classes == -1))
                 if novel < self.SOA_TABLE_DISPATCH_NOVELTY * len(pairs):
-                    self._process_chunk_tables(pairs, classes)
-                    return
+                    return self._tables_to_stop(pairs, classes)
         # The column store may be shared with other simulators on the same
         # cache: (re-)bind our live population before handing it over.
         self._soa_columns.bind(self._codes_np, self._code_list)
@@ -1133,6 +1172,8 @@ class ArraySimulator:
                 pairs[start:end, 1],
                 self._soa_columns,
                 self._scheduler.rng,
+                stops=self._kernel_stops(end - start),
+                on_stop=self._record_kernel_stop,
             )
             processed = outcome.processed
             if processed:
@@ -1145,7 +1186,7 @@ class ArraySimulator:
                 start += processed
             if start >= total:
                 self._soa_strikes = 0
-                return
+                return total
             if start >= end:
                 # The window was fully consumed without a decline; grow it
                 # back toward whole-chunk calls.  A full window is a
@@ -1163,29 +1204,48 @@ class ArraySimulator:
                 if self._soa_strikes >= self.SOA_STRIKE_LIMIT:
                     self._soa_strikes = 0
                     self._soa_backoff = self.SOA_BACKOFF_CHUNKS
-                    self._process_chunk_tables(pairs[start:])
-                    return
-            segment_end = min(start + self.SOA_WALK_SEGMENT, total)
+                    return start + self._tables_to_stop(pairs[start:])
+            segment_end = start + self._until_stop(
+                min(self.SOA_WALK_SEGMENT, total - start)
+            )
             self._walk_all(
                 pairs[start:segment_end, 0].tolist(),
                 pairs[start:segment_end, 1].tolist(),
             )
             start = segment_end
+            self._record_due()
             if self._mode == "object":
                 # The segment demoted the engine mid-chunk (its own tail
-                # already ran on the object path); finish the outer chunk
-                # there too, in original order.
-                if start < total:
-                    self._apply_pairs_object(pairs[start:].tolist())
-                return
-            if start < total:
-                # Extend the segment over pairs the pair cache already
-                # holds: each costs one warm dictionary probe, cheaper
-                # than another kernel re-entry, and never tabulates.
-                start += self._walk_while_tabulated(
-                    pairs[start:, 0].tolist(), pairs[start:, 1].tolist()
+                # already ran on the object path); the rest of the chunk
+                # goes back to the buffer for the object path.
+                return start
+            # Extend the segment over pairs the pair cache already holds:
+            # each costs one warm dictionary probe, cheaper than another
+            # kernel re-entry, and never tabulates.
+            while start < total:
+                bound = start + self._until_stop(total - start)
+                walked = self._walk_while_tabulated(
+                    pairs[start:bound, 0].tolist(),
+                    pairs[start:bound, 1].tolist(),
                 )
+                start += walked
+                self._record_due()
+                if start < bound:
+                    break
             window = self.SOA_REENTRY_WINDOW
+        return total
+
+    def _tables_to_stop(
+        self, pairs: np.ndarray, classes: Optional[np.ndarray] = None
+    ) -> int:
+        """Run ``pairs`` on the table paths up to the next metric snapshot,
+        record it, and return the number of pairs executed."""
+        count = self._until_stop(len(pairs))
+        self._process_chunk_tables(
+            pairs[:count], None if classes is None else classes[:count]
+        )
+        self._record_due()
+        return count
 
     def _process_chunk_tables(
         self, pairs: np.ndarray, classes: Optional[np.ndarray] = None
@@ -1473,28 +1533,11 @@ class ArraySimulator:
         "_mode", "_kernel", "_soa", "_soa_columns",
     )
 
-    def _split_at_metrics(self, target: int) -> int:
-        """Clip a block target so metric snapshots land on exact interactions."""
-        if self._metrics is None:
-            return target
-        due = self._metrics.next_due
-        if due <= self._interactions:
-            return self._interactions + 1
-        return min(target, due)
-
-    def _advance_to(self, target: int) -> None:
-        """Advance to ``target``, recording metric snapshots when due."""
-        metrics = self._metrics
-        while self._interactions < target:
-            self._advance(self._split_at_metrics(target) - self._interactions)
-            if metrics is not None and self._interactions >= metrics.next_due:
-                metrics.record(self._interactions, self._view_configuration())
-
     def _run_at_cadence(self, budget_end: int, next_check: int) -> None:
         """Stop at the first converged check point (``next_check`` and
         every ``convergence_interval`` after it) or at ``budget_end``."""
         while self._interactions < budget_end:
-            self._advance_to(min(budget_end, next_check))
+            self._advance(min(budget_end, next_check) - self._interactions)
             if self._interactions < next_check:
                 return
             if self._changed_since_check:
@@ -1506,28 +1549,28 @@ class ArraySimulator:
     def _run_closed(self, budget_end: int) -> None:
         """Stop mode for a protocol whose converged set is closed.
 
-        Blocks are bounded only by the budget, the next metric snapshot
-        and the end of the pair buffer.  The predicate is evaluated at the
-        end of each block that holds a check point.  The run starts
-        unconverged and closure makes the predicate monotone along the
-        trajectory, so a block that ends unconverged holds no converged
-        check point.  A block that ends converged is rewound to its start
-        and replayed at the cadence, which stops on exactly the check
-        point cadence-sized blocks would have stopped on.  Blocks never
+        Blocks are bounded only by the budget and the end of the pair
+        buffer; metric snapshots are taken inside them.  The predicate is
+        evaluated at the end of each block that holds a check point.  The
+        run starts unconverged and closure makes the predicate monotone
+        along the trajectory, so a block that ends unconverged holds no
+        converged check point.  A block that ends converged is rewound to
+        its start and replayed at the cadence, which stops on exactly the
+        check point cadence-sized blocks would have stopped on.  Blocks never
         cross a buffer refill, so the rewind never re-draws pairs; the
         generator state is restored for transitions that drew from it
-        after a mid-block demotion.
+        after a mid-block demotion, and the snapshots the block recorded
+        are discarded, so the replay records each of them once.
         """
         origin = self._interactions
         interval = self._convergence_interval
-        metrics = self._metrics
         next_check = origin + interval
         # Object-path states mutate in place and draw pairs through the
         # scheduler's own buffer, so there is nothing cheap to rewind:
         # from a demotion on, the run finishes at the cadence.
         while self._interactions < budget_end and self._mode != "object":
-            block_end = self._split_at_metrics(
-                min(budget_end, self._interactions + self._buffered_pairs())
+            block_end = min(
+                budget_end, self._interactions + self._buffered_pairs()
             )
             # Only a block holding a check point can stop the run, so only
             # such a block needs a snapshot and a check (rare when the
@@ -1541,10 +1584,6 @@ class ArraySimulator:
                     if self._check_converged():
                         self._restore_block(snapshot)
                         break
-            # Snapshots are recorded after the check, so a rewound block
-            # never leaves one behind for its replay to repeat.
-            if metrics is not None and self._interactions >= metrics.next_due:
-                metrics.record(self._interactions, self._view_configuration())
         if self._interactions < budget_end:
             passed = self._interactions - origin
             self._run_at_cadence(
@@ -1558,17 +1597,20 @@ class ArraySimulator:
             self._codes_np.copy(),
             self._cache.mode,
             self.rng.bit_generator.state,
+            self._metrics.checkpoint() if self._metrics is not None else None,
         )
 
     def _restore_block(self, snapshot) -> None:
         """Rewind the engine to a :meth:`_snapshot_block` snapshot."""
-        values, codes, cache_mode, rng_state = snapshot
+        values, codes, cache_mode, rng_state, metrics_mark = snapshot
         for name, value in zip(self._BLOCK_STATE, values):
             setattr(self, name, value)
         self._codes_np[:] = codes
         self._code_list[:] = codes.tolist()
         self._cache.mode = cache_mode
         self.rng.bit_generator.state = rng_state
+        if metrics_mark is not None:
+            self._metrics.rollback(metrics_mark)
         self._replays += 1
 
     def run(
@@ -1601,7 +1643,7 @@ class ArraySimulator:
 
         budget_end = self._interactions + max_interactions
         if not stop_on_convergence:
-            self._advance_to(budget_end)
+            self._advance(max_interactions)
         elif not self._check_converged():
             if self._protocol.convergence_is_closed():
                 self._run_closed(budget_end)
@@ -1642,7 +1684,7 @@ class ArraySimulator:
         budget_end = self._interactions + max_interactions
         satisfied = predicate(self._view_configuration())
         while not satisfied and self._interactions < budget_end:
-            self._advance_to(min(self._interactions + check_interval, budget_end))
+            self._advance(min(check_interval, budget_end - self._interactions))
             satisfied = predicate(self._view_configuration())
         self._record_final_snapshot()
         self._sync_configuration()

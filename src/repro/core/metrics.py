@@ -78,9 +78,9 @@ class MetricsCollector:
     def next_due(self) -> int:
         """The next interaction count at which a snapshot is due.
 
-        Chunked engines use this to split their batches so snapshots land on
-        exactly the interactions the per-step ``maybe_record`` protocol of
-        the reference simulator would record.
+        Chunked engines use this to take snapshots on exactly the
+        interactions the per-step ``maybe_record`` protocol of the
+        reference simulator would record.
         """
         return self._next_due
 
@@ -94,6 +94,23 @@ class MetricsCollector:
         for name, probe in self._probes.items():
             self._series[name].append(interaction, float(probe(configuration)))
         self._next_due = interaction + self._interval
+
+    def checkpoint(self) -> tuple:
+        """A mark of what has been recorded so far, for :meth:`rollback`."""
+        return self._next_due, [len(series) for series in self._series.values()]
+
+    def rollback(self, checkpoint: tuple) -> None:
+        """Discard the snapshots recorded since ``checkpoint``.
+
+        Engines that rewind part of a run (the array engine's replayed
+        convergence block) drop the snapshots taken in it, so the replay
+        records each of them exactly once.
+        """
+        next_due, lengths = checkpoint
+        for series, length in zip(self._series.values(), lengths):
+            del series.interactions[length:]
+            del series.values[length:]
+        self._next_due = next_due
 
     def maybe_record(self, interaction: int, configuration: Configuration) -> bool:
         """Record a snapshot if one is due; return whether it was recorded."""

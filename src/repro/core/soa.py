@@ -43,12 +43,28 @@ Kernels receive per-pair **agent indices**, not state codes: exact chunk
 processing is all about the order in which the same agent re-appears
 (synthetic-coin parity, counter chains), which the codes alone cannot
 express.  The current codes are one gather away via ``columns.codes``.
+
+Snapshot stops
+--------------
+The engine never ends a chunk at a metric snapshot.  Snapshots due
+inside it arrive as ``stops``, sorted offsets into the chunk.  For every stop ``s`` that the committed prefix reaches
+(``s <= processed``) the kernel commits the population through pair
+``s - 1`` and calls ``on_stop(s)`` before it executes pair ``s``, so the
+engine records the snapshot on the exact configuration the reference
+reaches after ``s`` pairs of the chunk.  The kernel then carries on with
+the vector setup it did once for the chunk (code gathers,
+classification, coin parity relative to the chunk start): a stop's commit
+applies only what happened since the previous stop.  ``on_stop`` only
+reads the population.  Stops past ``processed`` are left to the engine,
+which takes them on its generic paths after the kernel returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    Callable, Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable,
+)
 
 import numpy as np
 
@@ -123,6 +139,8 @@ class VectorizedKernel(Protocol):
         responders: np.ndarray,
         columns: "ColumnStore",
         rng: np.random.Generator,
+        stops: Sequence[int] = (),
+        on_stop: Optional[Callable[[int], None]] = None,
     ) -> ChunkOutcome:
         """Exactly consume a maximal prefix of the ordered pair chunk.
 
@@ -130,6 +148,9 @@ class VectorizedKernel(Protocol):
         indices (one ordered pair per position, in simulation order).
         State reads and writes go through ``columns``; ``rng`` is the
         run's generator and must not be consumed by tabulated protocols.
+        ``on_stop(s)`` is called for each of the sorted ``stops`` with
+        ``s <= processed``, in order, with the population committed
+        through the first ``s`` pairs (see "Snapshot stops" above).
         """
         ...  # pragma: no cover - protocol signature
 
@@ -139,21 +160,17 @@ def occurrence_index(agents: np.ndarray) -> np.ndarray:
 
     The workhorse of coin-parity bookkeeping: an agent's synthetic coin at
     its ``k``-th appearance as responder differs from its chunk-start coin
-    by the parity of ``k``.  Runs in one stable argsort over the chunk.
+    by the parity of ``k``.  Runs in one stable argsort over the chunk:
+    an agent's ``k``-th appearance sits ``k`` places after its first one in
+    the sorted order.
     """
     count = len(agents)
     if count == 0:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(agents, kind="stable")
-    sorted_agents = agents[order]
-    is_start = np.empty(count, dtype=bool)
-    is_start[0] = True
-    np.not_equal(sorted_agents[1:], sorted_agents[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    lengths = np.diff(np.append(starts, count))
-    within = np.arange(count, dtype=np.int64) - np.repeat(starts, lengths)
+    ordered = agents[order]
     occurrence = np.empty(count, dtype=np.int64)
-    occurrence[order] = within
+    occurrence[order] = np.arange(count) - np.searchsorted(ordered, ordered)
     return occurrence
 
 
@@ -210,6 +227,11 @@ class ColumnStore:
     def codes(self) -> np.ndarray:
         """The live per-agent code array (shared with the engine)."""
         return self._codes
+
+    @property
+    def code_list(self) -> list:
+        """The live per-agent codes as a Python list (shared with the engine)."""
+        return self._code_list
 
     @property
     def size(self) -> int:

@@ -5,8 +5,8 @@ elects a unique leader within ``O(n log² n)`` interactions w.h.p. using
 ``O(log log n)`` states, and assumes (following [15]) that it exposes a
 ``leaderDone`` flag.  Reproducing [30] verbatim is outside the scope of this
 paper's contribution — it is used strictly as a black box — so this module
-provides an interface- and time-faithful substitute (see DESIGN.md,
-substitution 1):
+provides an interface- and time-faithful substitute (its contract is
+tested in ``tests/protocols/test_leader_election.py``):
 
 * On its first activation every agent draws a random *tag* uniformly from a
   space of size ``n⁴`` (so all tags are distinct w.h.p.).

@@ -216,7 +216,8 @@ class OneWayEpidemicKernel:
         self._active[window] = store.column("active")[window] > 0
         self._classified = size
 
-    def apply_chunk(self, initiators, responders, columns, rng):
+    def apply_chunk(self, initiators, responders, columns, rng,
+                    stops=(), on_stop=None):
         from ...core.soa import ChunkOutcome
 
         self._refresh(columns)
@@ -225,29 +226,41 @@ class OneWayEpidemicKernel:
         active = self._active[codes]
         total = len(initiators)
         live = active[initiators] & active[responders]
-        if not live.any():
-            return ChunkOutcome(total)
         positions = np.flatnonzero(live)
         pair_u = initiators[positions]
         pair_v = responders[positions]
         never = total + 1
         infection_time = np.where(informed, np.int64(-1), np.int64(never))
-        while True:
+        while len(positions):
             spreads = (infection_time[pair_u] < positions) & (
                 infection_time[pair_v] > positions
             )
             if not spreads.any():
                 break
             np.minimum.at(infection_time, pair_v[spreads], positions[spreads])
+        # Agent v is informed after the first s pairs iff its infection
+        # time is below s, so each stop commits the agents infected since
+        # the previous one.
         newly = np.flatnonzero((infection_time >= 0) & (infection_time < never))
-        if not len(newly):
-            return ChunkOutcome(total)
-        new_codes = [
-            columns.variant(int(codes[agent]), informed=True)
-            for agent in newly.tolist()
-        ]
-        columns.commit(newly.tolist(), new_codes)
-        return ChunkOutcome(total, changed=True)
+        times = infection_time[newly]
+        start = 0
+        for stop in stops:
+            self._inform(columns, newly[(times >= start) & (times < stop)])
+            on_stop(stop)
+            start = stop
+        self._inform(columns, newly[times >= start])
+        return ChunkOutcome(total, changed=bool(len(newly)))
+
+    @staticmethod
+    def _inform(columns, agents) -> None:
+        """Commit ``informed=True`` for ``agents``."""
+        if len(agents):
+            codes = columns.codes
+            agents = agents.tolist()
+            columns.commit(agents, [
+                columns.variant(int(codes[agent]), informed=True)
+                for agent in agents
+            ])
 
 
 def epidemic_upper_bound(n: int, m: int, gamma: float = 1.0) -> float:

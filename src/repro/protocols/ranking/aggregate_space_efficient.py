@@ -26,8 +26,12 @@ total weight in closed form and applies events inline; it picks the same
 classes from the same uniform draws, so its results are bit-identical
 (see ``docs/engines.md``).
 
-Two deliberate simplifications versus the agent-level reference (both
-validated to be statistically irrelevant by the test suite, see DESIGN.md):
+Two deliberate simplifications versus the agent-level reference.  The
+only test that compares the two is a mean check of the 50% milestone at
+n = 64, within three standard errors plus 10%
+(``tests/protocols/test_aggregate_space_efficient.py``,
+``TestCrossValidationAgainstReference``); no distribution test backs them
+yet:
 
 * interactions between two still-unconverted leader-electing agents are
   treated as no-ops (their internal leader-election dynamics cannot elect a

@@ -39,16 +39,24 @@ assignment, a wait-counter countdown, a drained liveness counter (reset
 trigger), a leader election won (the agent enters the main protocol), an
 agent of either domain meeting the other domain (joins and infections of
 main agents), any agent outside the five pure state classes, duplicate
-ranks, duplicate waiting agents.  Those pairs (a fraction of a percent of
-a run) are resolved exactly by the engine's validated ordered walk, after
-which the kernel resumes.  Everything the kernel *does* commit is
+ranks, duplicate waiting agents.  Those pairs are resolved exactly by the
+engine's validated ordered walk, after which the kernel resumes.  They are
+not rare: over 16 figure2 cells (n = 64, 50 n² interactions each) the
+kernel executes 93% of the interactions, and the walk and table paths
+take the other 7% — the start-up, every rank assignment and reset, and
+the chunks the engine routes to its pair cache.  Everything the kernel
+*does* commit is
 bit-identical to the reference simulator, including the ``changed`` flag
 driving convergence checks and the ``resets`` counter (countdown-expiry
 resets are executed inline and counted).
 
 Classification happens per *state code*, once, when the code first
 appears; chunk-time classification is a handful of gathers over
-precomputed per-code attribute arrays.  The kernel holds no reference to
+precomputed per-code attribute arrays and per-pair-class lookup tables.
+Metric snapshots due inside a chunk do not end it (see "Snapshot stops"
+in :mod:`repro.core.soa`): the scalar loop pauses at each one, the
+population is committed through that pair, and the loop resumes with the
+chunk's setup intact.  The kernel holds no reference to
 the protocol instance — only derived parameters — so one kernel is shared
 across runs of equally parameterized protocols through an
 :class:`~repro.core.array_engine.EngineCache` (the same contract as the
@@ -63,7 +71,7 @@ wrongly, at worst more slowly.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +118,48 @@ _OP_COIN = 16      # responder's coin at this position (precomputed parity)
 _OP_U_RANKED = 32  # initiator is ranked (assign / bump / productive checks)
 _OP_U_WAIT = 64    # initiator is the waiting leader
 
+#: Stride of the pair-class index ``kind_u * _KINDS + kind_v``.
+_KINDS = 8
+
+
+def _pair_table(rule) -> np.ndarray:
+    """``rule(kind_u, kind_v)`` over every pair class, by pair-class index."""
+    return np.array([
+        rule(kind_u, kind_v)
+        for kind_u in range(_KINDS) for kind_v in range(_KINDS)
+    ])
+
+
+def _startup(kind: int) -> bool:
+    return kind in (_LE, _RESET)
+
+
+#: Pair classes that end the vectorized prefix.  An agent outside the pure
+#: classes; a start-up-domain agent meeting a main-domain agent, which
+#: either joins the main protocol (Protocol 3, lines 4-6) or infects it
+#: with a reset, a class change either way round; duplicate waiting agents,
+#: which reset on contact (Protocol 4, line 3).
+_PAIR_RISK = _pair_table(lambda u, v: (
+    u >= _OTHER or v >= _OTHER
+    or _startup(u) != _startup(v)
+    or u == v == _WAIT
+))
+#: Responders that carry a synthetic coin: every pure class but ranked.
+_HAS_COIN = np.array([_PHASE <= kind < _OTHER for kind in range(_KINDS)])
+#: The opcode bits a pair's classes decide (coin and drain bits are added
+#: per pair).
+_PAIR_OPS = _pair_table(lambda u, v: (
+    _OP_AVG * (u in (_PHASE, _WAIT))
+    + _OP_PHASE_V * (v == _PHASE)
+    + _OP_DOMAIN * _startup(v)
+    + _OP_U_RANKED * (u == _RANKED)
+    + _OP_U_WAIT * (u == _WAIT)
+))
+#: Per-code row layout of :attr:`StableRankingKernel._code_rows`: the
+#: shadow fields in :meth:`StableRankingKernel._agent_lists` order, then
+#: the coin.
+_ROW_COIN = 9
+
 
 class StableRankingKernel:
     """Vectorized fast path for the self-stabilizing ranking protocol."""
@@ -154,24 +204,21 @@ class StableRankingKernel:
                     productive_row[rank] = True
             self._assign_rows.append(assign_row)
             self._productive_rows.append(productive_row)
-        drain = np.zeros(n + 1, dtype=bool)
-        drain[n - 1] = True
-        drain[n] = True
-        self._drain_rank = drain
+        #: Drain opcode bit by initiator rank (0 for unranked initiators).
+        drain = np.zeros(n + 1, dtype=np.int64)
+        drain[n - 1] = _OP_DRAIN
+        drain[n] = _OP_DRAIN
+        self._drain_op = drain
 
-        # Per-code attribute arrays, grown as the codec interns states.
+        # Per-code attributes, grown as the codec interns states: numpy
+        # arrays for the chunk-wide gathers, and one tuple of Python ints
+        # per code (``_ROW_COIN`` layout) for the per-agent shadow syncs
+        # and commits.
         self._classified = 0
         self._kind = np.empty(0, dtype=np.int8)
         self._coin_of = np.empty(0, dtype=np.int64)
-        self._alive_of = np.empty(0, dtype=np.int64)
         self._rank_of = np.empty(0, dtype=np.int64)
-        self._phase_of = np.empty(0, dtype=np.int64)
-        self._reset_of = np.empty(0, dtype=np.int64)
-        self._delay_of = np.empty(0, dtype=np.int64)
-        self._le_count_of = np.empty(0, dtype=np.int64)
-        self._le_done_of = np.empty(0, dtype=np.int64)
-        self._le_coins_of = np.empty(0, dtype=np.int64)
-        self._le_leader_of = np.empty(0, dtype=np.int64)
+        self._code_rows: list = []
         #: field-value tuples → interned code (commit memo).
         self._variants: Dict[Tuple[int, ...], int] = {}
 
@@ -216,9 +263,8 @@ class StableRankingKernel:
         if not len(code_v):
             return 0.0
         self._refresh(columns)
-        kind_v = self._kind[code_v]
         return float(
-            np.count_nonzero((kind_v >= _PHASE) & (kind_v < _OTHER)) / len(code_v)
+            np.count_nonzero(_HAS_COIN[self._kind[code_v]]) / len(code_v)
         )
 
     def _refresh(self, store: ColumnStore) -> None:
@@ -227,11 +273,7 @@ class StableRankingKernel:
         start = self._classified
         if size <= start:
             return
-        for name in (
-            "_kind", "_coin_of", "_alive_of", "_rank_of", "_phase_of",
-            "_reset_of", "_delay_of", "_le_count_of", "_le_done_of",
-            "_le_coins_of", "_le_leader_of",
-        ):
+        for name in ("_kind", "_coin_of", "_rank_of"):
             setattr(self, name, grow_column(getattr(self, name), start, size))
         window = slice(start, size)
         rank = store.column("rank")[window]
@@ -280,17 +322,16 @@ class StableRankingKernel:
         kind[pure_le] = _LE
         kind[pure_reset] = _RESET
         kind[pure_ranked] = _RANKED
+        coin = np.where(coin >= 0, coin, 0)
         self._kind[window] = kind
-        self._coin_of[window] = np.where(coin >= 0, coin, 0)
-        self._alive_of[window] = alive
+        self._coin_of[window] = coin
         self._rank_of[window] = np.where(pure_ranked, rank, 0)
-        self._phase_of[window] = np.where(pure_phase, phase, 0)
-        self._reset_of[window] = reset
-        self._delay_of[window] = delay
-        self._le_count_of[window] = le_count
-        self._le_done_of[window] = leader_done
-        self._le_coins_of[window] = coin_count
-        self._le_leader_of[window] = is_leader
+        self._code_rows.extend(zip(
+            kind.tolist(), alive.tolist(),
+            np.where(pure_phase, phase, 0).tolist(), reset.tolist(),
+            delay.tolist(), le_count.tolist(), leader_done.tolist(),
+            coin_count.tolist(), is_leader.tolist(), coin.tolist(),
+        ))
         self._classified = size
 
     def _agent_lists(self) -> tuple:
@@ -298,13 +339,6 @@ class StableRankingKernel:
             self._agent_kind, self._agent_alive, self._agent_phase,
             self._agent_reset, self._agent_delay, self._agent_le_count,
             self._agent_le_done, self._agent_le_coins, self._agent_le_leader,
-        )
-
-    def _agent_columns(self) -> tuple:
-        return (
-            self._kind, self._alive_of, self._phase_of,
-            self._reset_of, self._delay_of, self._le_count_of,
-            self._le_done_of, self._le_coins_of, self._le_leader_of,
         )
 
     def _sync_agents(self, codes: np.ndarray) -> None:
@@ -316,27 +350,26 @@ class StableRankingKernel:
         committed agent always equals its current code's projection, so
         nothing else can have drifted.
         """
+        rows = self._code_rows
         if self._bound_codes is not codes or len(self._synced) != len(codes):
             self._bound_codes = codes
             self._synced = codes.copy()
-            self._agent_kind = self._kind[codes].tolist()
-            self._agent_alive = self._alive_of[codes].tolist()
-            self._agent_phase = self._phase_of[codes].tolist()
-            self._agent_reset = self._reset_of[codes].tolist()
-            self._agent_delay = self._delay_of[codes].tolist()
-            self._agent_le_count = self._le_count_of[codes].tolist()
-            self._agent_le_done = self._le_done_of[codes].tolist()
-            self._agent_le_coins = self._le_coins_of[codes].tolist()
-            self._agent_le_leader = self._le_leader_of[codes].tolist()
+            fields = zip(*(rows[code] for code in codes.tolist()))
+            (
+                self._agent_kind, self._agent_alive, self._agent_phase,
+                self._agent_reset, self._agent_delay, self._agent_le_count,
+                self._agent_le_done, self._agent_le_coins,
+                self._agent_le_leader,
+            ) = [list(values) for values in fields][:_ROW_COIN]
             return
         dirty = np.flatnonzero(codes != self._synced)
         if not len(dirty):
             return
-        self._synced[dirty] = codes[dirty]
-        agents = dirty.tolist()
         dirty_codes = codes[dirty]
-        for shadow, column in zip(self._agent_lists(), self._agent_columns()):
-            for agent, value in zip(agents, column[dirty_codes].tolist()):
+        self._synced[dirty] = dirty_codes
+        shadows = self._agent_lists()
+        for agent, code in zip(dirty.tolist(), dirty_codes.tolist()):
+            for shadow, value in zip(shadows, rows[code]):
                 shadow[agent] = value
 
     # ------------------------------------------------------------------
@@ -348,28 +381,26 @@ class StableRankingKernel:
         responders: np.ndarray,
         columns: ColumnStore,
         rng: np.random.Generator,
+        stops: Sequence[int] = (),
+        on_stop: Optional[Callable[[int], None]] = None,
     ) -> ChunkOutcome:
         self._refresh(columns)
         codes = columns.codes
         self._sync_agents(codes)
         code_u = codes[initiators]
         code_v = codes[responders]
-        kind_u = self._kind[code_u]
         kind_v = self._kind[code_v]
+        pair_kind = self._kind[code_u] * _KINDS + kind_v
+        rank_u = self._rank_of[code_u]
 
         # --- classification: where must the vectorized prefix end? -----
-        risk = (kind_u == _OTHER) | (kind_v == _OTHER)
-        # A start-up-domain agent meeting a main-domain agent either joins
-        # the main protocol (Protocol 3, lines 4-6) or infects it with a
-        # reset — a class change either way round.
-        domain_u = (kind_u == _LE) | (kind_u == _RESET)
-        domain_v = (kind_v == _LE) | (kind_v == _RESET)
-        risk |= domain_u != domain_v
-        # Duplicate waiting agents reset on contact (Protocol 4, line 3).
-        risk |= (kind_u == _WAIT) & (kind_v == _WAIT)
+        risk = _PAIR_RISK[pair_kind]
         # Duplicate ranks reset on contact (line 1; adversarial only).
-        both_ranked = (kind_u == _RANKED) & (kind_v == _RANKED)
-        risk |= both_ranked & (self._rank_of[code_u] == self._rank_of[code_v])
+        # ``_rank_of`` is 0 outside the ranked class.
+        risk |= (rank_u == self._rank_of[code_v]) & (rank_u > 0)
+        prefix = int(np.argmax(risk)) if risk.any() else len(initiators)
+        if prefix == 0:
+            return ChunkOutcome(0)
 
         # Responders carrying a coin (everyone but ranked agents) are
         # toggled every interaction, so the coin at position t is the
@@ -378,15 +409,8 @@ class StableRankingKernel:
         # rule, so the parity trajectory is exact for the whole prefix.
         # All phase- and state-dependent decisions are taken inside the
         # ordered loop below against the *live* values.
-        coin_positions = np.flatnonzero((kind_v >= _PHASE) & (kind_v < _OTHER))
-        coin_at = None
-        if len(coin_positions):
-            occurrence = occurrence_index(responders[coin_positions])
-            coin_at = self._coin_of[code_v[coin_positions]] ^ (occurrence & 1)
-
-        prefix = int(np.argmax(risk)) if risk.any() else len(initiators)
-        if prefix == 0:
-            return ChunkOutcome(0)
+        loop_positions = np.flatnonzero(_HAS_COIN[kind_v[:prefix]])
+        coin_responders = responders[loop_positions]
 
         # --- sequential chains, in one ordered scalar loop --------------
         # The loop's field state lives in the persistent per-agent shadow
@@ -406,44 +430,43 @@ class StableRankingKernel:
         touched = set()
         resets = 0
         reset_positions: list = []
-        if coin_at is not None:
-            in_prefix = coin_positions < prefix
-            loop_positions = coin_positions[in_prefix]
-        else:
-            loop_positions = np.empty(0, dtype=np.int64)
+        # The loop runs in segments that end at the snapshot stops the
+        # static prefix reaches; a decline inside a segment ends the chunk
+        # before that segment's stop.
+        reachable = [stop for stop in stops if stop <= prefix]
+        segments = list(zip(
+            np.searchsorted(loop_positions, reachable).tolist(), reachable
+        ))
+        segments.append((len(loop_positions), None))
+        committed = 0
+        ops = init_l = resp_l = rank_l = pos_l = ()
         if len(loop_positions):
-            lu = code_u[loop_positions]
-            ku = kind_u[loop_positions]
-            domain_pair = domain_v[loop_positions]
-            averaging = (ku == _PHASE) | (ku == _WAIT)
-            u_ranked = ku == _RANKED
-            rank_u = self._rank_of[lu]
-            draining = u_ranked & self._drain_rank[rank_u]
-            coin_l = coin_at[in_prefix]
+            coin_at = self._coin_of[code_v[loop_positions]] ^ (
+                occurrence_index(coin_responders) & 1
+            )
+            rank_loop = rank_u[loop_positions]
             opcode = (
-                averaging * _OP_AVG
-                + draining * _OP_DRAIN
-                + (kind_v[loop_positions] == _PHASE) * _OP_PHASE_V
-                + domain_pair * _OP_DOMAIN
-                + coin_l * _OP_COIN
-                + u_ranked * _OP_U_RANKED
-                + (ku == _WAIT) * _OP_U_WAIT
+                _PAIR_OPS[pair_kind[loop_positions]]
+                + self._drain_op[rank_loop]
+                + coin_at * _OP_COIN
             )
             ops = opcode.tolist()
             init_l = initiators[loop_positions].tolist()
-            resp_l = responders[loop_positions].tolist()
-            rank_l = rank_u.tolist()
+            resp_l = coin_responders.tolist()
+            rank_l = rank_loop.tolist()
             pos_l = loop_positions.tolist()
-            refill = self._alive_reset
-            l_max = self._l_max
-            r_max = self._r_max
-            d_max = self._d_max
-            coins_init = self._coin_count_init
-            assign_rows = self._assign_rows
-            productive_rows = self._productive_rows
-            bump_rank = self._bump_rank
-            add = touched.add
-            for index in range(len(ops)):
+        refill = self._alive_reset
+        l_max = self._l_max
+        r_max = self._r_max
+        d_max = self._d_max
+        coins_init = self._coin_count_init
+        assign_rows = self._assign_rows
+        productive_rows = self._productive_rows
+        bump_rank = self._bump_rank
+        add = touched.add
+        start = 0
+        for end, stop in segments:
+            for index in range(start, end):
                 op = ops[index]
                 if op & _OP_DOMAIN:
                     # Start-up domain: PropagateReset and leader election.
@@ -627,106 +650,130 @@ class StableRankingKernel:
                 elif adopt:
                     phase_l[i] = adopt
                     phase_l[j] = adopt
+            else:
+                start = end
+                if stop is not None:
+                    self._commit(columns, touched, coin_responders[committed:end])
+                    committed = end
+                    on_stop(stop)
+                continue
+            break
         if prefix == 0:
             return ChunkOutcome(0)
 
         # --- commit: coins by parity, everything else from the chains ---
-        if coin_at is not None:
-            toggle_positions = coin_positions[coin_positions < prefix]
-        else:
-            toggle_positions = coin_positions
-        changed = bool(len(toggle_positions))
-        flips = None
-        if len(toggle_positions):
-            flips = np.bincount(
-                responders[toggle_positions], minlength=len(codes)
-            )
-            touched.update(np.flatnonzero(flips & 1).tolist())
-        if touched:
-            commit_agents = []
-            commit_codes = []
-            coin_of = self._coin_of
-            alive_of = self._alive_of
-            phase_of = self._phase_of
-            variants = self._variants
-            for agent in touched:
-                old_code = int(codes[agent])
-                old_coin = int(coin_of[old_code])
-                new_coin = old_coin
-                if flips is not None and flips[agent] & 1:
-                    new_coin ^= 1
-                kind_now = dyn_kind[agent]
-                if kind_now == _LE or kind_now == _RESET:
-                    # Start-up domain: rebuild the code from the tracked
-                    # field values (the domain class may have flipped).
-                    if kind_now == _RESET:
-                        key = (
-                            old_code, _RESET, new_coin,
-                            reset_l[agent], delay_l[agent],
-                        )
-                        new_code = variants.get(key)
-                        if new_code is None:
-                            count = reset_l[agent]
-                            wait = delay_l[agent]
-                            new_code = columns.codec.variant_code(
-                                old_code,
-                                coin=new_coin,
-                                reset_count=None if count < 0 else count,
-                                delay_count=None if wait < 0 else wait,
-                                le_count=None,
-                                coin_count=None,
-                                leader_done=None,
-                                is_leader=None,
-                            )
-                            variants[key] = new_code
-                    else:
-                        key = (
-                            old_code, _LE, new_coin,
-                            le_count_l[agent], le_done_l[agent],
-                            le_coins_l[agent], le_leader_l[agent],
-                        )
-                        new_code = variants.get(key)
-                        if new_code is None:
-                            new_code = columns.codec.variant_code(
-                                old_code,
-                                coin=new_coin,
-                                le_count=le_count_l[agent],
-                                leader_done=le_done_l[agent],
-                                coin_count=le_coins_l[agent],
-                                is_leader=le_leader_l[agent],
-                                reset_count=None,
-                                delay_count=None,
-                            )
-                            variants[key] = new_code
-                else:
-                    old_alive = int(alive_of[old_code])
-                    new_alive = alive[agent]
-                    old_phase = int(phase_of[old_code])
-                    new_phase = phase_l[agent]
-                    if new_coin == old_coin and new_alive == old_alive and (
-                        new_phase == old_phase
-                    ):
-                        new_code = old_code
-                    else:
-                        key = (old_code, new_coin, new_alive, new_phase)
-                        new_code = variants.get(key)
-                        if new_code is None:
-                            updates = {"coin": new_coin}
-                            if new_alive >= 0:
-                                updates["alive_count"] = new_alive
-                            if new_phase >= 1:
-                                updates["phase"] = new_phase
-                            new_code = columns.codec.variant_code(old_code, **updates)
-                            variants[key] = new_code
-                if new_code != old_code:
-                    commit_agents.append(agent)
-                    commit_codes.append(new_code)
-            if commit_agents:
-                columns.commit(commit_agents, commit_codes)
-                # The shadow already holds the committed field values;
-                # record the new codes so the next sync sees no drift.
-                self._synced[commit_agents] = commit_codes
+        done = int(np.searchsorted(loop_positions, prefix))
+        self._commit(columns, touched, coin_responders[committed:done])
+        changed = done > 0
         if resets:
             # Resets at or past a shortened prefix were never committed.
             resets = sum(1 for pos in reset_positions if pos < prefix)
         return ChunkOutcome(prefix, changed, 0, resets)
+
+    def _commit(
+        self, columns: ColumnStore, touched: set, responders: np.ndarray
+    ) -> None:
+        """Write the chains' effects since the last commit to the population.
+
+        ``responders`` are the coin-carrying responders of the pairs since
+        the last commit; each coin flips by the parity of its appearances.
+        Every other field comes from the per-agent shadow of the
+        ``touched`` agents, which the call empties.  An earlier stop's
+        commit may have interned codes, so they are classified first.
+        """
+        self._refresh(columns)
+        flipped = ()
+        if len(responders):
+            flipped = set(np.flatnonzero(np.bincount(responders) & 1).tolist())
+            touched |= flipped
+        if not touched:
+            return
+        code_list = columns.code_list
+        rows = self._code_rows
+        alive = self._agent_alive
+        phase_l = self._agent_phase
+        dyn_kind = self._agent_kind
+        reset_l = self._agent_reset
+        delay_l = self._agent_delay
+        le_count_l = self._agent_le_count
+        le_done_l = self._agent_le_done
+        le_coins_l = self._agent_le_coins
+        le_leader_l = self._agent_le_leader
+        commit_agents = []
+        commit_codes = []
+        variants = self._variants
+        for agent in touched:
+            old_code = code_list[agent]
+            row = rows[old_code]
+            old_coin = row[_ROW_COIN]
+            new_coin = old_coin ^ 1 if agent in flipped else old_coin
+            kind_now = dyn_kind[agent]
+            if kind_now == _LE or kind_now == _RESET:
+                # Start-up domain: rebuild the code from the tracked
+                # field values (the domain class may have flipped).
+                if kind_now == _RESET:
+                    key = (
+                        old_code, _RESET, new_coin,
+                        reset_l[agent], delay_l[agent],
+                    )
+                    new_code = variants.get(key)
+                    if new_code is None:
+                        count = reset_l[agent]
+                        wait = delay_l[agent]
+                        new_code = columns.codec.variant_code(
+                            old_code,
+                            coin=new_coin,
+                            reset_count=None if count < 0 else count,
+                            delay_count=None if wait < 0 else wait,
+                            le_count=None,
+                            coin_count=None,
+                            leader_done=None,
+                            is_leader=None,
+                        )
+                        variants[key] = new_code
+                else:
+                    key = (
+                        old_code, _LE, new_coin,
+                        le_count_l[agent], le_done_l[agent],
+                        le_coins_l[agent], le_leader_l[agent],
+                    )
+                    new_code = variants.get(key)
+                    if new_code is None:
+                        new_code = columns.codec.variant_code(
+                            old_code,
+                            coin=new_coin,
+                            le_count=le_count_l[agent],
+                            leader_done=le_done_l[agent],
+                            coin_count=le_coins_l[agent],
+                            is_leader=le_leader_l[agent],
+                            reset_count=None,
+                            delay_count=None,
+                        )
+                        variants[key] = new_code
+            else:
+                new_alive = alive[agent]
+                new_phase = phase_l[agent]
+                if new_coin == old_coin and new_alive == row[1] and (
+                    new_phase == row[2]
+                ):
+                    new_code = old_code
+                else:
+                    key = (old_code, new_coin, new_alive, new_phase)
+                    new_code = variants.get(key)
+                    if new_code is None:
+                        updates = {"coin": new_coin}
+                        if new_alive >= 0:
+                            updates["alive_count"] = new_alive
+                        if new_phase >= 1:
+                            updates["phase"] = new_phase
+                        new_code = columns.codec.variant_code(old_code, **updates)
+                        variants[key] = new_code
+            if new_code != old_code:
+                commit_agents.append(agent)
+                commit_codes.append(new_code)
+        if commit_agents:
+            columns.commit(commit_agents, commit_codes)
+            # The shadow already holds the committed field values;
+            # record the new codes so the next sync sees no drift.
+            self._synced[commit_agents] = commit_codes
+        touched.clear()

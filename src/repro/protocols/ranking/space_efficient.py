@@ -15,7 +15,8 @@ Protocol 2:
 
 The protocol is silent and reaches a valid ranking in ``O(n² log n)``
 interactions w.h.p., using ``n + Θ(log n)`` states (with the leader-election
-protocol of [30] as a black box; see DESIGN.md on the substitute substrate).
+protocol of [30] as a black box; this reproduction runs the substitute in
+:mod:`repro.protocols.leader_election.gs_leader_election`).
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ toggling, counter churn, phase waves) and in the presence of adversarial
 states outside the kernel's pure classes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,10 @@ from repro.core.protocol import PopulationProtocol, TransitionResult
 from repro.core.simulation import Simulator
 from repro.core.soa import ChunkOutcome, ColumnStore, occurrence_index
 from repro.core.state import AgentState
+from repro.experiments.figure2 import figure2_specs
+from repro.experiments.study import Study
 from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
+from repro.protocols.ranking.soa_kernel import StableRankingKernel
 from repro.protocols.ranking.stable_ranking import StableRanking
 
 
@@ -248,7 +253,8 @@ class _DecliningKernel:
     def columns(self):
         return ("aux",)
 
-    def apply_chunk(self, initiators, responders, columns, rng):
+    def apply_chunk(self, initiators, responders, columns, rng,
+                    stops=(), on_stop=None):
         return ChunkOutcome(0)
 
 
@@ -326,3 +332,33 @@ class TestKernelEngineIntegration:
         assert array.soa_interactions > 0
         assert actual.interactions == expected.interactions
         assert states_of(actual) == states_of(expected)
+
+
+class TestSnapshotStops:
+    def test_figure2_cell_takes_snapshots_without_extra_kernel_calls(
+        self, monkeypatch
+    ):
+        """A figure2 cell's 240 snapshots ride inside the kernel's chunks.
+
+        The cell (n=64, 50 n² interactions, 240-sample collector, cadence
+        n) makes 186 ``apply_chunk`` calls.  Cutting the chunks at every
+        snapshot took 370: one more kernel call, with its full vector
+        setup, per snapshot that falls inside a chunk.
+        """
+        calls = []
+        apply_chunk = StableRankingKernel.apply_chunk
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            return apply_chunk(self, *args, **kwargs)
+
+        monkeypatch.setattr(StableRankingKernel, "apply_chunk", counted)
+        spec = figure2_specs(
+            n_values=(64,), seeds=1, engine="array",
+            max_normalized_interactions=50.0, random_state=1005,
+        )[0]
+        spec = dataclasses.replace(spec, stop_on_convergence=False)
+        (row,) = Study(spec, name="count").run().rows
+        assert row.interactions == 50 * 64 * 64
+        assert len(row.series["ranked_agents"]["interactions"]) == 242
+        assert len(calls) <= 200

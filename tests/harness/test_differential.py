@@ -253,6 +253,27 @@ class TestCadenceReplay:
             actual = snapshot(array.run(5000, stop_on_convergence=False))
             assert_identical(expected, actual, context=f"continued seed={seed}")
 
+    @pytest.mark.parametrize("interval", [1, 7])
+    def test_metric_series_across_a_demoted_replayed_block(self, interval):
+        # Snapshots taken on the object path after the mid-block demotion
+        # are rolled back with the block and recorded again by the replay.
+        n = 16
+        make_metrics = lambda: MetricsCollector(
+            {"aux": lambda config: float(
+                sum(state.aux or 0 for state in config.states)
+            )},
+            interval=interval,
+        )
+        for seed in SEEDS:
+            reference, array = engine_pair(
+                ClosedLateRandomProtocol, n, seed, make_metrics
+            )
+            expected = snapshot(reference.run(10**5))
+            actual = snapshot(array.run(10**5))
+            assert expected.converged and expected.series
+            assert_identical(expected, actual, context=f"seed={seed}")
+            assert array.mode == "object" and array.replays == 1
+
     def test_non_closed_protocol_keeps_the_cadence(self):
         # The goal holds only while the counter sum lies in [203, 212):
         # the cadence point 208 catches it, a buffer-end check would not.
@@ -265,6 +286,195 @@ class TestCadenceReplay:
             assert (expected.converged, expected.interactions) == (True, 208)
             assert_identical(expected, actual, context=f"seed={seed}")
             assert array.replays == 0
+
+
+def kernel_probes():
+    """The Figure 2 probes plus two that read every coin and counter, so
+    a snapshot taken on a half-committed kernel chunk cannot pass."""
+    probes = standard_ranking_probes()
+    probes["coins_up"] = lambda config: float(
+        sum(1 for state in config.states if state.coin == 1)
+    )
+    probes["alive_total"] = lambda config: float(
+        sum(state.alive_count or 0 for state in config.states)
+    )
+    return probes
+
+
+def informed_probe():
+    return {"informed": lambda config: float(
+        sum(1 for state in config.states if state.informed)
+    )}
+
+
+def mid_run_pair(n, warmup, seed, interval, probes):
+    """Reference and array simulators started from the configuration an
+    array run reaches after ``warmup`` interactions (where the SoA kernel
+    carries most pairs), with ``interval``-spaced snapshots."""
+    warm = ArraySimulator(StableRanking(n), random_state=seed)
+    warm.run(warmup, stop_on_convergence=False)
+    return [
+        engine(
+            StableRanking(n),
+            configuration=warm.configuration.copy(),
+            random_state=np.random.default_rng(100 + seed),
+            convergence_interval=n,
+            metrics=MetricsCollector(probes, interval=interval),
+        )
+        for engine in (Simulator, ArraySimulator)
+    ]
+
+
+def trace_kernel(array):
+    """Record, as absolute interactions, the snapshots the array engine's
+    SoA kernel takes inside its chunks and the points where it declines."""
+    kernel = array.soa_kernel
+    apply_chunk = kernel.apply_chunk
+    trace = {"stops": [], "declines": []}
+
+    def traced(initiators, responders, columns, rng, stops=(), on_stop=None):
+        start = array.interactions
+
+        def stop(offset):
+            trace["stops"].append(start + offset)
+            on_stop(offset)
+
+        outcome = apply_chunk(
+            initiators, responders, columns, rng, stops=stops, on_stop=stop
+        )
+        if outcome.processed < len(initiators):
+            trace["declines"].append(start + outcome.processed)
+        return outcome
+
+    kernel.apply_chunk = traced
+    return trace
+
+
+def run_both(engines, budget, stop_on_convergence=False, context=""):
+    """Run both engines; assert bit-identity, generator state included."""
+    reference, array = engines
+    expected = snapshot(reference.run(budget, stop_on_convergence))
+    actual = snapshot(array.run(budget, stop_on_convergence))
+    assert_identical(expected, actual, context=context)
+    assert (
+        reference.rng.bit_generator.state == array.rng.bit_generator.state
+    ), f"{context}: generator states differ"
+    return actual
+
+
+class TestSnapshotsInsideKernelChunks:
+    """Metric snapshots the SoA kernel takes inside its chunks.
+
+    Snapshots never cut the array engine's blocks: the kernel commits the
+    population at each one and the engine records it.  The intervals put
+    snapshots on every pair (1), at offsets that drift through the buffer
+    (7, 853, 4095, 4097) and on buffer ends (4096).
+    """
+
+    INTERVALS = (1, 7, 853, 4095, 4096, 4097)
+    BUDGET = 3 * 4096 + 5
+
+    @pytest.mark.parametrize("interval", INTERVALS)
+    @pytest.mark.parametrize("n, warmup", [(16, 5000), (64, 60000)])
+    def test_stable_ranking_series(self, n, warmup, interval):
+        for seed in (0, 1):
+            engines = mid_run_pair(n, warmup, seed, interval, kernel_probes())
+            trace = trace_kernel(engines[1])
+            actual = run_both(
+                engines, self.BUDGET, context=f"n={n} seed={seed}"
+            )
+            assert len(actual.series[0][1]) > self.BUDGET // interval
+            # The kernel carried the run and took snapshots in its chunks.
+            assert engines[1].soa_interactions > self.BUDGET // 2
+            assert trace["stops"]
+
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_epidemic_series(self, interval):
+        n = 512
+        for seed in SEEDS:
+            engines = engine_pair(
+                OneWayEpidemicProtocol, n, seed,
+                lambda: MetricsCollector(informed_probe(), interval=interval),
+            )
+            trace = trace_kernel(engines[1])
+            actual = run_both(engines, self.BUDGET, context=f"seed={seed}")
+            values = actual.series[0][2]
+            assert values[0] < values[-1] == n  # the spread is recorded
+            assert engines[1].soa_interactions == self.BUDGET
+            assert trace["stops"]
+
+    def test_snapshot_on_the_pair_the_kernel_declines(self):
+        # A dry run finds where the kernel first declines; the snapshots
+        # then land just before that pair (taken by the kernel) and just
+        # after it (taken once the walk has executed it).
+        n, warmup, seed = 64, 20000, 1
+        dry = mid_run_pair(n, warmup, seed, 10**9, kernel_probes())[1]
+        dry_trace = trace_kernel(dry)
+        dry.run(self.BUDGET, stop_on_convergence=False)
+        declined = dry_trace["declines"][0]
+        assert 0 < declined < 4096
+        for interval, taker in ((declined, "kernel"), (declined + 1, "walk")):
+            engines = mid_run_pair(n, warmup, seed, interval, kernel_probes())
+            trace = trace_kernel(engines[1])
+            actual = run_both(engines, self.BUDGET, context=f"at {interval}")
+            assert declined in trace["declines"]
+            assert interval in actual.series[0][1]
+            assert (interval in trace["stops"]) == (taker == "kernel")
+
+    @pytest.mark.parametrize("n, interval", [(16, 7), (64, 853)])
+    def test_rewound_block_leaves_no_snapshot_behind(self, n, interval):
+        # The block that ends converged runs to the buffer end, the kernel
+        # snapshotting on the way, and is then rewound and replayed at the
+        # cadence: only the replay's snapshots up to the stop survive.
+        for seed in SEEDS[:2]:
+            engines = engine_pair(
+                StableRanking, n, seed,
+                lambda: MetricsCollector(kernel_probes(), interval=interval),
+            )
+            trace = trace_kernel(engines[1])
+            actual = run_both(
+                engines, 3000 * n * n, stop_on_convergence=True,
+                context=f"seed={seed}",
+            )
+            assert actual.converged and engines[1].replays == 1
+            points = actual.series[0][1]
+            assert points[-1] == actual.interactions
+            assert len(set(points)) == len(points)
+            # The kernel snapshotted inside the rewound block: past the
+            # stop, or before it and again in the replay.
+            stops = trace["stops"]
+            assert any(
+                stop > actual.interactions or stops.count(stop) > 1
+                for stop in stops
+            )
+
+    def test_run_until_milestones(self):
+        n = 64
+        for seed in SEEDS[:2]:
+            engines = engine_pair(
+                StableRanking, n, seed,
+                lambda: MetricsCollector(kernel_probes(), interval=333),
+            )
+            trace = trace_kernel(engines[1])
+            for fraction in (0.5, 0.75, 0.875, 1.0):
+                threshold = fraction * n
+                results = [
+                    snapshot(engine.run_until(
+                        lambda config: config.ranked_count() >= threshold,
+                        3000 * n * n,
+                    ))
+                    for engine in engines
+                ]
+                assert_identical(
+                    *results, context=f"seed={seed} milestone={fraction}"
+                )
+                assert results[0].converged
+            reference, array = engines
+            assert (
+                reference.rng.bit_generator.state
+                == array.rng.bit_generator.state
+            )
+            assert trace["stops"]
 
 
 class TestKsHelper:
