@@ -212,6 +212,8 @@ class EventDrivenSimulator(abc.ABC):
             records the interaction count at which each first became true.
             Used by the Figure 3 experiment ("half of the agents ranked").
         """
+        if max_interactions < 0:
+            raise ValueError("max_interactions must be non-negative")
         milestones = milestones or {}
         reached: Dict[str, int] = {}
         budget_end = self._interactions + max_interactions

@@ -601,6 +601,8 @@ class GroupCountSimulator:
             benchmarks of protocols whose full state space would exceed
             the tabulation budget.
         """
+        if max_interactions < 0:
+            raise ValueError("max_interactions must be non-negative")
         goal = self._goal
         if milestones and goal is None:
             raise ConfigurationError(

@@ -3,7 +3,7 @@
 The benchmark harness runs under ``pytest`` in a terminal; instead of
 depending on a plotting stack, the experiment drivers render their series as
 plain-text tables and simple scatter plots so the "shape" of the paper's
-figures is visible directly in the benchmark log (and in EXPERIMENTS.md).
+figures is visible directly in the benchmark log.
 """
 
 from __future__ import annotations

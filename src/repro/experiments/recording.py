@@ -1,7 +1,7 @@
 """Recording experiment results to disk.
 
 Benchmarks and examples write their raw measurements as CSV files so the
-numbers reported in EXPERIMENTS.md can be regenerated and re-inspected
+numbers quoted in docs/benchmarks.md can be regenerated and re-inspected
 without re-running anything.  Only the standard library is used.
 """
 

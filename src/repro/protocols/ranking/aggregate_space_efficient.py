@@ -20,11 +20,27 @@ events instead of ``Θ(n² log n)`` interactions.
 
 :meth:`~AggregateSpaceEfficientRanking.event_weights` and
 :meth:`~AggregateSpaceEfficientRanking.apply_event` are the readable
-specification of that process.  ``run`` executes it through a fused loop
-(:meth:`~AggregateSpaceEfficientRanking._fused_events`) that computes the
-total weight in closed form and applies events inline; it picks the same
-classes from the same uniform draws, so its results are bit-identical
-(see ``docs/engines.md``).
+specification of that process.  ``run`` executes it through one tight loop
+per *event regime*, the three kinds of state a run spends almost all of its
+events in:
+
+* (a) conversion — the leader holds a rank, there is one phase, and
+  unconverted agents remain (``_conversion_events``);
+* (b) assignment — the leader holds a rank, there is one phase, nobody is
+  unconverted, and the leader's assignment is the only positive class
+  (``_assignment_events``);
+* (c) hand-over — the leader waits, nobody is unconverted, and there are
+  one or two phases (``_handover_events``).
+
+Inside a regime the state is a few integers, so each loop computes the
+class weights and the chosen class in O(1).  A loop returns when its
+regime ends: the leader's mode flips, the phase set changes, the
+unconverted pool empties, the ranked count reaches the next milestone
+threshold (or ``n``), or the budget clamps.  ``run`` then reads the next
+regime from the state.  Any other state (tiny ``n``, three phases, a start
+without phase agents) takes its next event through ``step_event``.  The
+loops pick the same classes from the same uniform draws as ``step_event``,
+so the results are bit-identical (see ``docs/engines.md``).
 
 Two deliberate simplifications versus the agent-level reference.  The
 only test that compares the two is a mean check of the 50% milestone at
@@ -291,6 +307,12 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             self._leader_mode = "rank"
             self._leader_rank = 1
 
+    def _leader_starts_waiting(self) -> None:
+        """The leader hands out the last rank of its phase and waits."""
+        self._leader_mode = "wait"
+        self._leader_wait = self._wait_init
+        self._leader_rank = 0
+
     def _apply_assignment(self, phase: int) -> None:
         """The unaware leader assigns the next rank of ``phase`` (lines 4-9)."""
         boundary = self._rpp[phase]
@@ -304,9 +326,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         if self._leader_rank < boundary:
             self._leader_rank += 1
         elif phase < self._phase_limit:
-            self._leader_mode = "wait"
-            self._leader_wait = self._wait_init
-            self._leader_rank = 0
+            self._leader_starts_waiting()
         # In the final phase the leader keeps its rank and the run finishes.
 
     def _follow_up_leader_meets_new_phase_agent(self) -> None:
@@ -323,14 +343,12 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             if rank < boundary:
                 self._leader_rank += 1
             elif self._phase_limit > 1:
-                self._leader_mode = "wait"
-                self._leader_wait = self._wait_init
-                self._leader_rank = 0
+                self._leader_starts_waiting()
         else:
             self._add_phase_agent(1)
 
     # ------------------------------------------------------------------
-    # Fused event loop (the production path behind ``run``)
+    # Regime loops (the production path behind ``run``)
     # ------------------------------------------------------------------
     def _event_loop(self, budget_end, milestones, reached) -> None:
         pending = [
@@ -342,7 +360,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             isinstance(predicate, _RankedAtLeast) and predicate.simulator is self
             for _, predicate in pending
         ):
-            self._fused_events(
+            self._regime_events(
                 budget_end,
                 [(name, predicate.count) for name, predicate in pending],
                 reached,
@@ -352,208 +370,394 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             # which the specification loop provides on the same trajectory.
             super()._event_loop(budget_end, milestones, reached)
 
-    def _fused_events(
+    def _regime_events(
         self, budget_end: int, thresholds: list, reached: Dict[str, int]
     ) -> None:
-        """Apply events with the state in locals until done or stopped.
+        """Run each state's regime loop until done, dead or clamped.
 
-        Samples exactly what :meth:`step_event` samples — same class order,
-        same uniform draws — but computes the total weight in closed form and
-        applies the chosen event inline.  ``thresholds`` lists
-        ``(milestone name, ranked count)`` pairs, recorded in order as the
-        ranked counter reaches them.  Stops when done, on a dead
-        configuration, or when a waiting time is clamped at ``budget_end``.
+        ``thresholds`` lists ``(milestone name, ranked count)`` pairs.  A
+        regime loop returns at the first event that lifts the ranked count
+        to ``stop`` (the next threshold, or ``n``), so the milestones it
+        crosses are recorded at that event's interaction count, in
+        ``thresholds`` order.  States outside the regimes take one
+        :meth:`step_event` each.
         """
         n = self._n
-        total_pairs = self._total_pairs
+        next_milestone = min((count for _, count in thresholds), default=n + 1)
+        while True:
+            ranked = len(self._assigned) + (self._leader_mode == "rank")
+            if ranked >= next_milestone:
+                for name, count in thresholds:
+                    if name not in reached and ranked >= count:
+                        reached[name] = self._interactions
+                next_milestone = min(
+                    (count for name, count in thresholds if name not in reached),
+                    default=n + 1,
+                )
+            if ranked == n or self._interactions >= budget_end:
+                return
+            regime = self._regime_loop()
+            if regime is not None:
+                regime(budget_end, min(next_milestone, n))
+            elif self.step_event(limit=budget_end) is None:
+                return
+
+    def _regime_loop(self):
+        """The loop that runs the current state's regime, or ``None``."""
         counts = self._phase_counts
-        assigned = self._assigned
+        if self._leader_mode == "rank":
+            if len(counts) != 1:
+                return None
+            if self._unconverted:
+                return self._conversion_events
+            # Assignment: the leader's assign class must be the only
+            # positive one, so the phase agents' bump class must be closed.
+            (phase, _), = counts.items()
+            f = self._f
+            rank = self._leader_rank
+            if (phase <= self._phase_limit
+                    and 1 <= rank <= self._rpp[phase]
+                    and f[phase + 1] + rank not in self._assigned
+                    and not (phase < self._phase_limit
+                             and f[phase] in self._assigned)):
+                return self._assignment_events
+            return None
+        if not self._unconverted and 1 <= len(counts) <= 2:
+            return self._handover_events
+        return None
+
+    def _inconsistent(self, total: int) -> SimulationLimitExceeded:
+        return SimulationLimitExceeded(
+            "event weights exceed the number of ordered pairs "
+            f"({float(total)} > {self._total_pairs}); "
+            "the event decomposition is inconsistent"
+        )
+
+    def _store_phase(self, phase: int, count: int, drop: int, grow: int) -> None:
+        """Write back a one-phase regime's count, then its pending move.
+
+        ``drop`` and ``grow`` (0 = none) are the phases an agent leaves
+        and enters in an event that changed the phase set; they go through
+        the specification's updates so the dict keeps its insertion order.
+        """
+        if count:
+            self._phase_counts[phase] = count
+        else:
+            del self._phase_counts[phase]
+        self._total_phase = count
+        if drop:
+            self._remove_phase_agent(drop)
+        if grow:
+            self._add_phase_agent(grow)
+
+    def _conversion_events(self, budget_end: int, stop: int) -> None:
+        """Regime (a): the leader holds a rank, one phase, agents unconverted.
+
+        Class weights, in ``event_weights`` order, with ``u`` unconverted
+        agents, ``c`` phase agents and ``a`` assigned ranks::
+
+            convert_by_leader        u
+            assign:phase             c    if the leader's next rank is open
+            bump:phase               c    if f[phase] is assigned
+            convert_join:phase       2u·c
+            convert_plain            u·(a + 1)
+            convert_bumped           u    if rank n is assigned
+            convert_plain_responder  u·(a − [n assigned])
+
+        Ends when no agent is unconverted, the leader starts waiting, the
+        phase set changes, the phase empties or the ranked count reaches
+        ``stop``.
+        """
+        total_pairs = self._total_pairs
         f = self._f
         rpp = self._rpp
         limit = self._phase_limit
-        wait_init = self._wait_init
+        n = self._n
+        assigned = self._assigned
         rng = self._rng
         batch = self._UNIFORM_BATCH
 
+        (phase, count), = self._phase_counts.items()
         unconverted = self._unconverted
-        total_phase = self._total_phase
-        leader_ranked = self._leader_mode == "rank"
         rank = self._leader_rank
+        interactions = self._interactions
+        events = self._events
+        uniforms = self._uniforms
+        available = len(uniforms)
+        pos = self._uniform_pos
+        assigned_count = len(assigned)
+        ranked = assigned_count + 1
+        drop = grow = 0
+        # The gates below change only when a rank is assigned.
+        assign_open = (phase <= limit and 1 <= rank <= rpp[phase]
+                       and f[phase + 1] + rank not in assigned)
+        follow_open = 1 <= rank <= rpp[1] and f[2] + rank not in assigned
+        bump_open = phase < limit and f[phase] in assigned
+        top = n in assigned
+        while interactions < budget_end:
+            leader_end = unconverted
+            assign_end = leader_end + assign_open * count
+            bump_end = assign_end + bump_open * count
+            join_end = bump_end + 2 * unconverted * count
+            total = join_end + unconverted * (2 * assigned_count + 1)
+            success_probability = total / total_pairs
+            if pos + 2 > available:
+                uniforms = rng.random(batch).tolist()
+                available = len(uniforms)
+                pos = 0
+            if success_probability < 1.0:
+                waiting = 1 + int(
+                    log1p(-uniforms[pos]) / log1p(-success_probability)
+                )
+                pos += 1
+            elif success_probability == 1.0:
+                waiting = 1
+            else:
+                raise self._inconsistent(total)
+            if interactions + waiting > budget_end:
+                interactions = budget_end
+                break
+            interactions += waiting
+            threshold = uniforms[pos] * total
+            pos += 1
+            if threshold >= total:
+                # Every weight is an integer: land in the last positive class.
+                threshold = total - 0.5
+            events += 1
+
+            if threshold < assign_end:
+                # convert_by_leader assigns to the fresh phase-1 agent when
+                # it can; otherwise the fresh agent joins phase 1.
+                if threshold < leader_end:
+                    unconverted -= 1
+                    if not follow_open:
+                        if phase != 1:
+                            grow = 1
+                            break
+                        count += 1
+                        if not unconverted:
+                            break
+                        continue
+                    assign_phase = 1
+                else:
+                    count -= 1
+                    assign_phase = phase
+                assigned.add(f[assign_phase + 1] + rank)
+                assigned_count += 1
+                ranked += 1
+                if rank < rpp[assign_phase]:
+                    rank += 1
+                elif assign_phase < limit:
+                    rank = 0
+                    self._leader_starts_waiting()
+                    break
+                if not count or not unconverted or ranked >= stop:
+                    break
+                assign_open = (phase <= limit and rank <= rpp[phase]
+                               and f[phase + 1] + rank not in assigned)
+                follow_open = rank <= rpp[1] and f[2] + rank not in assigned
+                bump_open = phase < limit and f[phase] in assigned
+                top = n in assigned
+                continue
+            if threshold < bump_end:
+                drop = phase
+                grow = phase + 1
+                break
+            if threshold < join_end:
+                unconverted -= 1
+                count += 1
+            else:
+                # convert_plain, convert_bumped, convert_plain_responder:
+                # only the bumped conversion lands in phase 2.
+                plain_end = join_end + unconverted * (assigned_count + 1)
+                grow = 1
+                if top and plain_end <= threshold < plain_end + unconverted:
+                    grow = min(2, limit)
+                unconverted -= 1
+                if grow != phase:
+                    break
+                grow = 0
+                count += 1
+            if not unconverted:
+                break
+
+        self._unconverted = unconverted
+        self._leader_rank = rank
+        self._interactions = interactions
+        self._events = events
+        self._uniforms = uniforms
+        self._uniform_pos = pos
+        self._store_phase(phase, count, drop, grow)
+
+    def _assignment_events(self, budget_end: int, stop: int) -> None:
+        """Regime (b): the leader assigns ranks to the only phase's agents.
+
+        ``assign:phase`` is the only positive class, with the phase count
+        as its weight, so each event draws its waiting time, skips the
+        pick's uniform and hands out the next rank.  Ends when the leader
+        starts waiting, the phase empties, the next rank is taken or the
+        ranked count reaches ``stop``.
+        """
+        total_pairs = self._total_pairs
+        f = self._f
+        limit = self._phase_limit
+        assigned = self._assigned
+        rng = self._rng
+        batch = self._UNIFORM_BATCH
+
+        (phase, count), = self._phase_counts.items()
+        base = f[phase + 1]
+        boundary = self._rpp[phase]
+        rank = self._leader_rank
+        interactions = self._interactions
+        events = self._events
+        uniforms = self._uniforms
+        available = len(uniforms)
+        pos = self._uniform_pos
+        ranked = len(assigned) + 1
+        while interactions < budget_end:
+            if pos + 2 > available:
+                uniforms = rng.random(batch).tolist()
+                available = len(uniforms)
+                pos = 0
+            # count ≤ n − 1 < n(n − 1): the waiting time is always drawn.
+            waiting = 1 + int(
+                log1p(-uniforms[pos]) / log1p(-count / total_pairs)
+            )
+            pos += 1
+            if interactions + waiting > budget_end:
+                interactions = budget_end
+                break
+            interactions += waiting
+            pos += 1  # the pick's uniform: one class, nothing to choose
+            events += 1
+            count -= 1
+            assigned.add(base + rank)
+            ranked += 1
+            if rank < boundary:
+                rank += 1
+            else:
+                if phase < limit:
+                    rank = 0
+                    self._leader_starts_waiting()
+                # In the final phase the leader keeps its rank, and its
+                # next rank is taken: nothing is left to assign.
+                break
+            if not count or ranked >= stop or base + rank in assigned:
+                break
+
+        self._leader_rank = rank
+        self._interactions = interactions
+        self._events = events
+        self._uniforms = uniforms
+        self._uniform_pos = pos
+        self._store_phase(phase, count, 0, 0)
+
+    def _handover_events(self, budget_end: int, stop: int) -> None:
+        """Regime (c): the leader waits, nobody unconverted, one or two phases.
+
+        With phases ``x`` and ``y`` in dict order (``y`` absent: count 0)
+        and ``T`` phase agents, the classes in ``event_weights`` order are
+        ``wait_tick`` (``T``), ``bump:x`` (``c_x`` if ``f[x]`` is
+        assigned), ``bump:y`` (likewise) and the merge of the lower phase
+        into the higher (``2·c_x·c_y``).  No rank is assigned, so the bump
+        gates hold for the whole regime.  Ends when the leader's wait runs
+        out or an event changes the phase set; the ranked count rises only
+        when the wait runs out, so ``stop`` needs no check here.
+        """
+        total_pairs = self._total_pairs
+        f = self._f
+        limit = self._phase_limit
+        assigned = self._assigned
+        rng = self._rng
+        batch = self._UNIFORM_BATCH
+        counts = self._phase_counts
+
+        phases = list(counts)
+        x = phases[0]
+        y = phases[1] if len(phases) == 2 else 0
+        count_x = counts[x]
+        count_y = counts[y] if y else 0
+        bump_x = x < limit and f[x] in assigned
+        bump_y = 0 < y < limit and f[y] in assigned
+        ticks = self._total_phase
         wait = self._leader_wait
         interactions = self._interactions
         events = self._events
         uniforms = self._uniforms
+        available = len(uniforms)
         pos = self._uniform_pos
-        ranked = len(assigned) + leader_ranked
-        next_milestone = min((count for _, count in thresholds), default=n + 1)
-        try:
-            while ranked != n and interactions < budget_end:
-                # Class weights in event_weights() order: leader classes,
-                # then per phase (assign, bump, convert_join), then merges,
-                # then the conversions by ranked agents.
-                live = rank if leader_ranked and rank >= 1 else 0
-                assign_bump = 0
-                square_sum = 0
-                for phase, count in counts.items():
-                    square_sum += count * count
-                    if (live and phase <= limit and live <= rpp[phase]
-                            and f[phase + 1] + live not in assigned):
-                        assign_bump += count
-                    if phase < limit and f[phase] in assigned:
-                        assign_bump += count
-                # Closed forms: convert_join sums to 2u·total_phase, merges
-                # to total_phase² − Σ c_p², the conversions by ranked agents
-                # to u·(|assigned| + 1) + u·|assigned|.
-                leader_end = unconverted
-                if not leader_ranked:
-                    leader_end += total_phase
-                phase_end = leader_end + assign_bump + 2 * unconverted * total_phase
-                merge_end = phase_end + total_phase * total_phase - square_sum
-                total = merge_end + unconverted * (2 * len(assigned) + 1)
-                if not total:
-                    break
-                success_probability = total / total_pairs
-                if success_probability > 1.0:
-                    raise SimulationLimitExceeded(
-                        "event weights exceed the number of ordered pairs "
-                        f"({float(total)} > {total_pairs}); "
-                        "the event decomposition is inconsistent"
-                    )
-                if pos + 2 > len(uniforms):
-                    uniforms = rng.random(batch).tolist()
-                    pos = 0
-                if success_probability >= 1.0:
-                    waiting = 1
-                else:
-                    waiting = 1 + int(
-                        log1p(-uniforms[pos]) / log1p(-success_probability)
-                    )
-                    pos += 1
-                if interactions + waiting > budget_end:
-                    interactions = budget_end
-                    break
-                interactions += waiting
-                threshold = uniforms[pos] * total
+        drop = grow = 0
+        while interactions < budget_end:
+            bump_x_end = ticks + bump_x * count_x
+            bump_y_end = bump_x_end + bump_y * count_y
+            total = bump_y_end + 2 * count_x * count_y
+            success_probability = total / total_pairs
+            if pos + 2 > available:
+                uniforms = rng.random(batch).tolist()
+                available = len(uniforms)
+                pos = 0
+            if success_probability < 1.0:
+                waiting = 1 + int(
+                    log1p(-uniforms[pos]) / log1p(-success_probability)
+                )
                 pos += 1
-                if threshold >= total:
-                    # Every weight is a positive integer, so this lands in
-                    # the last positive class, as in step_event.
-                    threshold = total - 0.5
+            elif success_probability == 1.0:
+                waiting = 1
+            else:
+                raise self._inconsistent(total)
+            if interactions + waiting > budget_end:
+                interactions = budget_end
+                break
+            interactions += waiting
+            threshold = uniforms[pos] * total
+            pos += 1
+            if threshold >= total:
+                threshold = total - 0.5
+            events += 1
 
-                # Apply the chosen class: the leader may assign a rank to a
-                # phase agent of ``assign_phase``, one phase agent leaves
-                # ``drop`` and one enters ``grow`` (0 = none).
-                assign_phase = drop = grow = 0
-                if threshold < leader_end:
-                    if leader_ranked:  # convert_by_leader
-                        unconverted -= 1
-                        if (1 <= rank <= rpp[1]
-                                and f[2] + rank not in assigned):
-                            assign_phase = 1
-                        else:
-                            grow = 1
-                    else:
-                        if threshold >= total_phase:  # convert_by_waiting
-                            unconverted -= 1
-                            grow = 1
-                        wait -= 1  # wait_tick
-                        if wait <= 0:
-                            leader_ranked = True
-                            ranked += 1
-                            rank = 1
-                elif threshold < phase_end:
-                    cumulative = leader_end
-                    join_weight = 2 * unconverted
-                    for phase, count in counts.items():
-                        if (live and phase <= limit and live <= rpp[phase]
-                                and f[phase + 1] + live not in assigned):
-                            cumulative += count
-                            if threshold < cumulative:
-                                assign_phase = drop = phase
-                                break
-                        if phase < limit and f[phase] in assigned:
-                            cumulative += count
-                            if threshold < cumulative:  # bump
-                                drop = phase
-                                grow = phase + 1
-                                break
-                        cumulative += join_weight * count
-                        if threshold < cumulative:  # convert_join
-                            unconverted -= 1
-                            grow = phase
-                            break
-                elif threshold < merge_end:
-                    cumulative = phase_end
-                    phases = sorted(counts)
-                    for index, low in enumerate(phases):
-                        double_low = 2 * counts[low]
-                        for high in phases[index + 1:]:
-                            cumulative += double_low * counts[high]
-                            if threshold < cumulative:
-                                drop = low
-                                grow = high
-                                break
-                        if drop:
-                            break
-                else:
-                    # convert_plain, convert_bumped, convert_plain_responder:
-                    # only the bumped conversion lands in phase 2.
-                    plain_end = merge_end + unconverted * (len(assigned) + 1)
-                    bumped = (n in assigned
-                              and plain_end <= threshold < plain_end + unconverted)
-                    grow = 2 if bumped else 1
-                    unconverted -= 1
+            if threshold < ticks:
+                wait -= 1
+                if wait <= 0:
+                    self._leader_mode = "rank"
+                    self._leader_rank = 1
+                    break
+            elif threshold < bump_x_end:
+                if x + 1 != y or count_x == 1:
+                    drop, grow = x, x + 1
+                    break
+                count_x -= 1
+                count_y += 1
+            elif threshold < bump_y_end:
+                if y + 1 != x or count_y == 1:
+                    drop, grow = y, y + 1
+                    break
+                count_y -= 1
+                count_x += 1
+            elif x < y:
+                if count_x == 1:
+                    drop, grow = x, y
+                    break
+                count_x -= 1
+                count_y += 1
+            else:
+                if count_y == 1:
+                    drop, grow = y, x
+                    break
+                count_y -= 1
+                count_x += 1
 
-                if assign_phase:
-                    new_rank = f[assign_phase + 1] + rank
-                    if new_rank in assigned:  # pragma: no cover - weights guard it
-                        raise ConfigurationError(
-                            f"rank {new_rank} would be assigned twice "
-                            f"(phase {assign_phase})"
-                        )
-                    assigned.add(new_rank)
-                    ranked += 1
-                    if rank < rpp[assign_phase]:
-                        rank += 1
-                    elif assign_phase < limit:
-                        leader_ranked = False
-                        ranked -= 1
-                        wait = wait_init
-                        rank = 0
-                if drop:
-                    count = counts.get(drop, 0)
-                    if count == 1:
-                        del counts[drop]
-                    elif count > 1:
-                        counts[drop] = count - 1
-                    else:  # pragma: no cover - guarded by the weights
-                        raise ConfigurationError(f"no phase-{drop} agents to remove")
-                    total_phase -= 1
-                if grow:
-                    if grow > limit:
-                        grow = limit
-                    counts[grow] = counts.get(grow, 0) + 1
-                    total_phase += 1
-                events += 1
-
-                if ranked >= next_milestone:
-                    for name, count in thresholds:
-                        if name not in reached and ranked >= count:
-                            reached[name] = interactions
-                    next_milestone = min(
-                        (count for name, count in thresholds if name not in reached),
-                        default=n + 1,
-                    )
-        finally:
-            self._unconverted = unconverted
-            self._total_phase = total_phase
-            self._leader_mode = "rank" if leader_ranked else "wait"
-            self._leader_rank = rank
-            self._leader_wait = wait
-            self._interactions = interactions
-            self._events = events
-            self._uniforms = uniforms
-            self._uniform_pos = pos
+        counts[x] = count_x
+        if y:
+            counts[y] = count_y
+        self._leader_wait = wait
+        self._interactions = interactions
+        self._events = events
+        self._uniforms = uniforms
+        self._uniform_pos = pos
+        if drop:
+            self._remove_phase_agent(drop)
+            self._add_phase_agent(grow)
 
     # ------------------------------------------------------------------
     # Convenience for experiments
@@ -561,7 +765,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
     def milestone_predicates(self, fractions) -> Dict[str, object]:
         """Milestone predicates "at least ``fraction`` of the agents ranked".
 
-        Each predicate is a plain callable; the fused event loop reads its
+        Each predicate is a plain callable; the regime loops read its
         integer threshold instead of calling it after every event.
         """
         return {

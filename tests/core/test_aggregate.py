@@ -5,6 +5,9 @@ import pytest
 
 from repro.core.aggregate import EventDrivenSimulator
 from repro.core.errors import SimulationLimitExceeded
+from repro.protocols.ranking.aggregate_space_efficient import (
+    AggregateSpaceEfficientRanking,
+)
 
 
 class CollectorSimulator(EventDrivenSimulator):
@@ -85,6 +88,16 @@ class TestEventDrivenSimulator:
             # Every applied event consumed at least one interaction, so the
             # clamped run can never report more events than interactions.
             assert result.events <= result.interactions
+
+    def test_rejects_negative_budget(self):
+        for simulator in (
+            CollectorSimulator(8, random_state=0),
+            AggregateSpaceEfficientRanking(8, random_state=0),
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                simulator.run(-5)
+            assert simulator.interactions == 0
+            assert simulator.events == 0
 
     def test_step_event_limit_clamps_without_applying(self):
         simulator = CollectorSimulator(1000, random_state=3)

@@ -114,6 +114,13 @@ class TestEpidemic:
             assert result.interactions <= 500
             assert result.events <= result.interactions
 
+    def test_rejects_negative_budget(self):
+        simulator = epidemic_simulator(16, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            simulator.run(max_interactions=-5)
+        assert simulator.interactions == 0
+        assert simulator.events == 0
+
     def test_max_events_caps_the_run(self):
         simulator = epidemic_simulator(256, seed=1)
         result = simulator.run(max_interactions=10**9, max_events=10)

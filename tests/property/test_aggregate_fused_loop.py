@@ -1,12 +1,15 @@
-"""Differential test: the aggregate engine's fused event loop ≡ its specification.
+"""Differential test: the aggregate engine's regime loops ≡ its specification.
 
-``AggregateSpaceEfficientRanking.run`` applies events through a fused loop
-that keeps the state in locals.  ``event_weights`` / ``step_event`` /
-``apply_event`` remain the readable specification of the same process.  For
-any population, start, budget and milestone set, both must leave the same
-result, the same aggregate state and the same uniform cursor.
+``AggregateSpaceEfficientRanking.run`` applies events through one tight
+loop per event regime (conversion, assignment, hand-over) that keeps the
+state in locals, and through ``step_event`` outside them.
+``event_weights`` / ``step_event`` / ``apply_event`` remain the readable
+specification of the same process.  For any population, start, budget and
+milestone set, both must leave the same result, the same aggregate state
+and the same uniform cursor.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,3 +174,64 @@ def test_rare_event_classes_are_covered():
         "bump", "merge", "convert_join", "convert_plain", "convert_bumped",
         "convert_plain_responder",
     }
+
+
+def regime(engine):
+    """The regime the next event starts from, read from the public state."""
+    phases = len(engine.phase_counts)
+    if engine.leader_mode == "rank" and phases == 1:
+        return "conversion" if engine.unconverted else "assignment"
+    if engine.leader_mode == "wait" and not engine.unconverted and phases in (1, 2):
+        return "hand-over"
+    return "other"
+
+
+def event_counts_by_regime(n, seed, start):
+    """Each event's interaction count, grouped by the regime it started in."""
+    engine = build(n, seed, start)
+    counts = {}
+    while not engine.is_done():
+        state = regime(engine)
+        if engine.step_event() is None:
+            break
+        counts.setdefault(state, []).append(engine.interactions)
+    return counts
+
+
+@pytest.mark.parametrize("start", ["figure3", "start-ranking"])
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_budgets_on_and_beside_an_event_in_every_regime(n, start):
+    """A budget ending exactly on an event applies it and draws nothing more.
+
+    For a few events of every regime, budgets equal to the event's
+    interaction count and one either side must leave the specification's
+    result, state and uniform cursor, and both runs must then finish on the
+    same trajectory.
+    """
+    expected = {"assignment", "hand-over"}
+    if start == "figure3":
+        expected.add("conversion")
+    for seed in (0, 1, 2):
+        counts = event_counts_by_regime(n, seed, start)
+        assert expected <= set(counts)
+        for interactions in counts.values():
+            stride = max(1, len(interactions) // 3)
+            for event_end in interactions[::stride]:
+                for budget in (event_end - 1, event_end, event_end + 1):
+                    fused, specified = build(n, seed, start), build(n, seed, start)
+                    fused_result = fused.run(
+                        budget,
+                        milestones=fused.milestone_predicates((0.5, 0.9375)),
+                    )
+                    specified_result = specification_run(
+                        specified,
+                        budget,
+                        specified.milestone_predicates((0.5, 0.9375)),
+                    )
+                    assert fused_result == specified_result
+                    assert snapshot(fused) == snapshot(specified)
+
+                    assert fused.run(10**12) == specification_run(
+                        specified, 10**12, {}
+                    )
+                    assert snapshot(fused) == snapshot(specified)
