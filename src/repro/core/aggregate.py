@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .errors import SimulationLimitExceeded
+from .errors import SimulationLimitExceeded, check_budget
 from .rng import RandomState, make_rng
 
 __all__ = ["EventDrivenSimulator", "AggregateResult"]
@@ -212,8 +212,7 @@ class EventDrivenSimulator(abc.ABC):
             records the interaction count at which each first became true.
             Used by the Figure 3 experiment ("half of the agents ranked").
         """
-        if max_interactions < 0:
-            raise ValueError("max_interactions must be non-negative")
+        max_interactions = check_budget(max_interactions)
         milestones = milestones or {}
         reached: Dict[str, int] = {}
         budget_end = self._interactions + max_interactions

@@ -114,6 +114,7 @@ from .errors import (
     RandomnessConsumed,
     SimulationLimitExceeded,
     StateSpaceTooLarge,
+    check_budget,
 )
 from .metrics import MetricsCollector
 from .probe_table import ProbeClassTable
@@ -1635,8 +1636,7 @@ class ArraySimulator:
           one block that ends converged replayed at the cadence;
         * other protocols advance in cadence-sized blocks.
         """
-        if max_interactions < 0:
-            raise ValueError("max_interactions must be non-negative")
+        max_interactions = check_budget(max_interactions)
 
         if self._metrics is not None and self._interactions == 0:
             self._metrics.record(0, self._view_configuration())
@@ -1681,7 +1681,7 @@ class ArraySimulator:
         """Run until ``predicate(configuration)`` holds (checked periodically)."""
         if check_interval is None:
             check_interval = max(1, self._protocol.n // 4)
-        budget_end = self._interactions + max_interactions
+        budget_end = self._interactions + check_budget(max_interactions)
         satisfied = predicate(self._view_configuration())
         while not satisfied and self._interactions < budget_end:
             self._advance(min(check_interval, budget_end - self._interactions))

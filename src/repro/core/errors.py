@@ -7,6 +7,8 @@ single ``except`` clause without swallowing unrelated programming errors.
 
 from __future__ import annotations
 
+import operator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -75,3 +77,17 @@ class AnalysisError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment driver was configured inconsistently."""
+
+
+def check_budget(max_interactions) -> int:
+    """Return an interaction budget as an ``int``, or raise.
+
+    The one budget check behind every engine's ``run``, ``run_until`` and
+    ``run_segmented``: a non-integral budget (a ``float``, even ``10.0``)
+    raises :class:`TypeError`, as :func:`operator.index` does; numpy
+    integers pass.  A negative budget raises :class:`ValueError`.
+    """
+    budget = operator.index(max_interactions)
+    if budget < 0:
+        raise ValueError("max_interactions must be non-negative")
+    return budget

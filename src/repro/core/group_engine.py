@@ -69,6 +69,7 @@ from .errors import (
     ConfigurationError,
     SimulationLimitExceeded,
     StateSpaceTooLarge,
+    check_budget,
 )
 from .protocol import PopulationProtocol
 from .rng import RandomState, make_rng
@@ -601,8 +602,7 @@ class GroupCountSimulator:
             benchmarks of protocols whose full state space would exceed
             the tabulation budget.
         """
-        if max_interactions < 0:
-            raise ValueError("max_interactions must be non-negative")
+        max_interactions = check_budget(max_interactions)
         goal = self._goal
         if milestones and goal is None:
             raise ConfigurationError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from .configuration import Configuration
-from .errors import SimulationLimitExceeded
+from .errors import SimulationLimitExceeded, check_budget
 from .metrics import MetricsCollector, TimeSeries
 from .protocol import PopulationProtocol, TransitionResult
 from .rng import RandomState
@@ -60,8 +60,7 @@ def segmented_run(
     This function is engine-agnostic; ``Simulator.run_segmented`` and
     ``ArraySimulator.run_segmented`` are thin delegating methods.
     """
-    if max_interactions < 0:
-        raise ValueError("max_interactions must be non-negative")
+    max_interactions = check_budget(max_interactions)
     start = simulator.interactions
     budget_end = start + max_interactions
     log = [{"at": start, "label": "initial", "recovered_at": None}]
@@ -301,8 +300,7 @@ class Simulator:
             If ``True``, raise :class:`SimulationLimitExceeded` when the
             budget is exhausted without convergence.
         """
-        if max_interactions < 0:
-            raise ValueError("max_interactions must be non-negative")
+        max_interactions = check_budget(max_interactions)
 
         metrics = self._metrics
         if metrics is not None and self._interactions == 0:
@@ -416,7 +414,7 @@ class Simulator:
         """
         if check_interval is None:
             check_interval = max(1, self._protocol.n // 4)
-        budget_end = self._interactions + max_interactions
+        budget_end = self._interactions + check_budget(max_interactions)
         satisfied = predicate(self._configuration)
         metrics = self._metrics
         while not satisfied and self._interactions < budget_end:

@@ -6,9 +6,10 @@ and measurements as plain data; a :class:`Study` expands specs into a
 ``variants × n × seeds`` cell matrix, executes it (optionally across worker
 processes), persists every finished cell through a :class:`ResultStore`,
 and returns one unified :class:`ResultSet`.  The paper's figures are thin
-presets over that API — as spec builders (``figure2_specs``, …), as
-deprecated legacy shims (``run_figure2``, …) and as the ``python -m
-repro`` command line (:mod:`repro.experiments.cli`).
+presets over that API: each has a spec builder (``figure2_specs``, …), a
+converter from the study's rows to its result view
+(``figure2_result_from_rows``, …) and a ``python -m repro run <preset>``
+command (:mod:`repro.experiments.cli`).
 """
 
 from .ascii_plot import ascii_plot, format_table
@@ -17,14 +18,12 @@ from .comparison import (
     comparison_result_from_rows,
     comparison_specs,
     format_comparison,
-    run_comparison,
 )
 from .fault_injection import (
     FaultInjectionResult,
     fault_injection_result_from_rows,
     fault_injection_specs,
     format_fault_injection,
-    run_fault_injection,
 )
 from .fault_storm import (
     FaultStormResult,
@@ -37,7 +36,6 @@ from .figure2 import (
     figure2_result_from_rows,
     figure2_specs,
     format_figure2,
-    run_figure2,
 )
 from .figure3 import (
     PAPER_FRACTIONS,
@@ -45,14 +43,11 @@ from .figure3 import (
     figure3_result_from_rows,
     figure3_specs,
     format_figure3,
-    run_figure3,
 )
-from .harness import ExperimentRunner, RunRecord, SweepResult
 from .recording import default_results_dir, read_csv, write_csv, write_json
 from .scaling import (
     ScalingResult,
     format_scaling,
-    run_scaling,
     scaling_result_from_rows,
     scaling_specs,
 )
@@ -80,7 +75,6 @@ from .workloads import (
 __all__ = [
     "ComparisonResult",
     "EXTRACTORS",
-    "ExperimentRunner",
     "ExperimentSpec",
     "FaultInjectionResult",
     "FaultStormResult",
@@ -90,11 +84,9 @@ __all__ = [
     "PROTOCOLS",
     "ResultSet",
     "ResultStore",
-    "RunRecord",
     "RunRow",
     "ScalingResult",
     "Study",
-    "SweepResult",
     "WORKLOADS",
     "adversarial_configuration",
     "adversarial_state",
@@ -123,11 +115,6 @@ __all__ = [
     "fresh_configuration",
     "missing_rank_configuration",
     "read_csv",
-    "run_comparison",
-    "run_fault_injection",
-    "run_figure2",
-    "run_figure3",
-    "run_scaling",
     "scaling_result_from_rows",
     "scaling_specs",
     "valid_ranking_configuration",

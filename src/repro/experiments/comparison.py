@@ -15,12 +15,11 @@ the full comparison in one table.
 
 The experiment is a preset over the declarative study API — one spec per
 protocol family (:func:`comparison_specs`, ``python -m repro run
-comparison``); :func:`run_comparison` remains as a deprecated shim.
+comparison``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,17 +27,14 @@ from ..analysis.statistics import summarize
 from ..baselines.burman_ranking import BurmanStyleRanking
 from ..baselines.cai_ranking import CaiRanking
 from ..core.errors import ExperimentError
-from ..core.rng import RandomState
 from ..protocols.ranking.stable_ranking import StableRanking
 from .ascii_plot import format_table
-from .study import ExperimentSpec, ResultSet, Study
-from ._shims import coerce_seed
+from .study import ExperimentSpec, ResultSet
 
 __all__ = [
     "ComparisonResult",
     "comparison_specs",
     "comparison_result_from_rows",
-    "run_comparison",
     "format_comparison",
 ]
 
@@ -148,44 +144,6 @@ def comparison_result_from_rows(
                 else -1
             )
     return out
-
-
-def run_comparison(
-    n_values: Sequence[int] = (16, 32, 64),
-    repetitions: int = 5,
-    workload: str = "fresh",
-    protocols: Optional[Sequence[str]] = None,
-    max_interactions_factor: int = 400,
-    random_state: RandomState = 0,
-) -> ComparisonResult:
-    """Run the baseline comparison.
-
-    .. deprecated::
-        Thin shim over :class:`~repro.experiments.study.Study`; build the
-        specs with :func:`comparison_specs` (or use ``python -m repro run
-        comparison``) to get parallel seed fan-out and the result store.
-    """
-    warnings.warn(
-        "run_comparison is deprecated; use Study(comparison_specs(...)) or "
-        "`python -m repro run comparison`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if repetitions < 1:
-        raise ExperimentError("repetitions must be positive")
-    specs = comparison_specs(
-        n_values=n_values,
-        repetitions=repetitions,
-        workload=workload,
-        protocols=protocols,
-        max_interactions_factor=max_interactions_factor,
-        # Pinned so the deprecated entry point keeps its v1.1 seeded
-        # results (the engine is part of the spec identity).
-        engine="reference",
-        random_state=coerce_seed(random_state),
-    )
-    result = Study(specs, name="comparison").run()
-    return comparison_result_from_rows(result, workload=workload)
 
 
 def format_comparison(result: ComparisonResult) -> str:

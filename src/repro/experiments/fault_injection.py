@@ -17,28 +17,23 @@ population is back in a clean legal configuration.
 
 The experiment is a preset over the declarative study API — one spec per
 fault model (:func:`fault_injection_specs`, ``python -m repro run
-fault_injection``); :func:`run_fault_injection` remains as a deprecated
-shim.
+fault_injection``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.statistics import summarize
 from ..core.errors import ExperimentError
-from ..core.rng import RandomState
 from .ascii_plot import format_table
-from .study import ExperimentSpec, ResultSet, Study
-from ._shims import coerce_seed
+from .study import ExperimentSpec, ResultSet
 
 __all__ = [
     "FaultInjectionResult",
     "fault_injection_specs",
     "fault_injection_result_from_rows",
-    "run_fault_injection",
     "format_fault_injection",
 ]
 
@@ -140,47 +135,6 @@ def fault_injection_result_from_rows(result: ResultSet) -> FaultInjectionResult:
                 sum(row.converged for row in rows) / len(rows) if rows else 0.0
             )
     return out
-
-
-def run_fault_injection(
-    n_values: Sequence[int] = (32, 64),
-    repetitions: int = 5,
-    faults: Sequence[str] = FAULT_MODELS,
-    max_interactions_factor: int = 400,
-    random_state: RandomState = 0,
-    l_max: int | None = None,
-) -> FaultInjectionResult:
-    """Measure recovery times of ``StableRanking`` under injected faults.
-
-    .. deprecated::
-        Thin shim over :class:`~repro.experiments.study.Study`; build the
-        specs with :func:`fault_injection_specs` (or use ``python -m repro
-        run fault_injection``) to get parallel seed fan-out and the result
-        store.
-    """
-    warnings.warn(
-        "run_fault_injection is deprecated; use "
-        "Study(fault_injection_specs(...)) or "
-        "`python -m repro run fault_injection`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if repetitions < 1:
-        raise ExperimentError("repetitions must be positive")
-    specs = fault_injection_specs(
-        n_values=n_values,
-        repetitions=repetitions,
-        faults=faults,
-        max_interactions_factor=max_interactions_factor,
-        l_max=l_max,
-        # Pinned so the deprecated entry point keeps its v1.1 seeded
-        # results (the engine is part of the spec identity).
-        engine="reference",
-        random_state=coerce_seed(random_state),
-    )
-    return fault_injection_result_from_rows(
-        Study(specs, name="fault-injection").run()
-    )
 
 
 def format_fault_injection(result: FaultInjectionResult) -> str:

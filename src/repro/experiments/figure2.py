@@ -15,27 +15,21 @@ few agents while the average phase climbs towards ``⌈log₂ n⌉``.
 The experiment is a preset over the declarative study API: see
 :func:`figure2_specs` for the spec and
 ``python -m repro run figure2`` for the command-line entry point.
-:func:`run_figure2` remains as a deprecated shim with its original
-signature.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.errors import ExperimentError
-from ..core.rng import RandomState
 from .ascii_plot import ascii_plot, format_table
-from .study import PAPER_COUNTER_SCALE, ExperimentSpec, ResultSet, RunRow, Study
-from ._shims import coerce_seed
+from .study import ExperimentSpec, ResultSet, RunRow
 
 __all__ = [
     "Figure2Result",
     "figure2_specs",
     "figure2_result_from_rows",
-    "run_figure2",
     "format_figure2",
 ]
 
@@ -131,45 +125,6 @@ def figure2_result_from_rows(result: ResultSet, n: Optional[int] = None,
         resets=row.resets,
         converged=row.converged,
     )
-
-
-def run_figure2(
-    n: int = 256,
-    c_wait: float = 2.0,
-    c_live: float = 4.0,
-    random_state: RandomState = 0,
-    max_normalized_interactions: float = 200.0,
-    samples: int = 240,
-    l_max: Optional[int] = None,
-) -> Figure2Result:
-    """Run the Figure 2 scenario once and return the recorded series.
-
-    .. deprecated::
-        Thin shim over :class:`~repro.experiments.study.Study`; build the
-        specs with :func:`figure2_specs` (or use ``python -m repro run
-        figure2``) to get seed fan-out, parallelism and the result store.
-    """
-    warnings.warn(
-        "run_figure2 is deprecated; use Study(figure2_specs(...)) or "
-        "`python -m repro run figure2`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    specs = figure2_specs(
-        n_values=(n,),
-        c_wait=c_wait,
-        c_live=c_live,
-        max_normalized_interactions=max_normalized_interactions,
-        samples=samples,
-        l_max=l_max,
-        # The legacy entry point pins its historical engine: its seeded
-        # results (the engine is part of the spec identity) must not
-        # change under it, deprecation shim or not.
-        engine="reference",
-        random_state=coerce_seed(random_state),
-    )
-    result = Study(specs, name="figure2").run()
-    return figure2_result_from_rows(result)
 
 
 def format_figure2(result: Figure2Result, plot: bool = True) -> str:

@@ -14,35 +14,30 @@ style doubling the paper discusses).
 
 Two engines are available:
 
-* ``"aggregate"`` (default) — the exact event-driven simulator
-  (:class:`~repro.protocols.ranking.aggregate_space_efficient.AggregateSpaceEfficientRanking`),
+* ``"aggregate"`` (what ``"auto"`` resolves to) — the exact event-driven
+  simulator (:class:`~repro.protocols.ranking.aggregate_space_efficient.AggregateSpaceEfficientRanking`),
   which handles the paper's full range of population sizes in seconds;
 * ``"reference"`` — the agent-level simulator, practical up to ``n ≈ 512``
   and used to validate the aggregate engine.
 
 The experiment is a preset over the declarative study API
-(:func:`figure3_specs`, ``python -m repro run figure3``);
-:func:`run_figure3` remains as a deprecated shim.
+(:func:`figure3_specs`, ``python -m repro run figure3``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.statistics import summarize
 from ..core.errors import ExperimentError
-from ..core.rng import RandomState
 from .ascii_plot import format_table
-from .study import ExperimentSpec, ResultSet, Study
-from ._shims import coerce_seed
+from .study import ExperimentSpec, ResultSet
 
 __all__ = [
     "Figure3Result",
     "figure3_specs",
     "figure3_result_from_rows",
-    "run_figure3",
     "format_figure3",
     "PAPER_FRACTIONS",
 ]
@@ -153,42 +148,6 @@ def figure3_result_from_rows(result: ResultSet) -> Figure3Result:
                 )
         out.samples[n] = per_fraction
     return out
-
-
-def run_figure3(
-    n_values: Sequence[int] = PAPER_POPULATION_SIZES,
-    fractions: Sequence[float] = PAPER_FRACTIONS,
-    repetitions: int = 100,
-    engine: str = "aggregate",
-    c_wait: float = 2.0,
-    random_state: RandomState = 0,
-) -> Figure3Result:
-    """Run the Figure 3 sweep and collect normalized milestone times.
-
-    .. deprecated::
-        Thin shim over :class:`~repro.experiments.study.Study`; build the
-        specs with :func:`figure3_specs` (or use ``python -m repro run
-        figure3``) to get parallel seed fan-out and the result store.
-    """
-    warnings.warn(
-        "run_figure3 is deprecated; use Study(figure3_specs(...)) or "
-        "`python -m repro run figure3`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if engine not in ("aggregate", "reference"):
-        raise ExperimentError(f"unknown engine {engine!r}")
-    if repetitions < 1:
-        raise ExperimentError("repetitions must be positive")
-    specs = figure3_specs(
-        n_values=n_values,
-        fractions=fractions,
-        repetitions=repetitions,
-        engine=engine,
-        c_wait=c_wait,
-        random_state=coerce_seed(random_state),
-    )
-    return figure3_result_from_rows(Study(specs, name="figure3").run())
 
 
 def format_figure3(result: Figure3Result) -> str:

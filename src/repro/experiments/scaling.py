@@ -12,29 +12,24 @@ including leader election.  Both are exposed because the leader-election
 prefix is ``o(n²)`` and does not affect the asymptotics.
 
 The experiment is a preset over the declarative study API
-(:func:`scaling_specs`, ``python -m repro run scaling``);
-:func:`run_scaling` remains as a deprecated shim.
+(:func:`scaling_specs`, ``python -m repro run scaling``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.statistics import summarize
 from ..analysis.theory import normalized_stabilization_time
 from ..core.errors import ExperimentError
-from ..core.rng import RandomState
 from .ascii_plot import format_table
-from .study import ExperimentSpec, ResultSet, Study
-from ._shims import coerce_seed
+from .study import ExperimentSpec, ResultSet
 
 __all__ = [
     "ScalingResult",
     "scaling_specs",
     "scaling_result_from_rows",
-    "run_scaling",
     "format_scaling",
 ]
 
@@ -127,38 +122,6 @@ def scaling_result_from_rows(result: ResultSet) -> ScalingResult:
             times.append(row.interactions)
         out.interactions[n] = times
     return out
-
-
-def run_scaling(
-    n_values: Sequence[int] = (64, 128, 256, 512, 1024),
-    repetitions: int = 20,
-    engine: str = "aggregate",
-    c_wait: float = 2.0,
-    random_state: RandomState = 0,
-) -> ScalingResult:
-    """Measure full stabilization times across population sizes.
-
-    .. deprecated::
-        Thin shim over :class:`~repro.experiments.study.Study`; build the
-        specs with :func:`scaling_specs` (or use ``python -m repro run
-        scaling``) to get parallel seed fan-out and the result store.
-    """
-    warnings.warn(
-        "run_scaling is deprecated; use Study(scaling_specs(...)) or "
-        "`python -m repro run scaling`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if repetitions < 1:
-        raise ExperimentError("repetitions must be positive")
-    specs = scaling_specs(
-        n_values=n_values,
-        repetitions=repetitions,
-        engine=engine,
-        c_wait=c_wait,
-        random_state=coerce_seed(random_state),
-    )
-    return scaling_result_from_rows(Study(specs, name="scaling").run())
 
 
 def format_scaling(result: ScalingResult) -> str:

@@ -20,10 +20,9 @@ from the spec identity and the cell coordinates (no Python ``hash()``,
 which is process-salted), a study is *reproducible across processes*:
 ``--jobs 8`` produces bit-identical rows to a serial run, and re-running a
 finished study loads every cell from the store without simulating
-anything.  The legacy drivers (``run_figure2``, ``run_figure3``,
-``run_scaling``, ``run_comparison``, ``run_fault_injection``) are thin
-deprecation shims over this API, and ``python -m repro`` exposes the same
-presets on the command line.
+anything.  The paper's presets are spec builders over this API
+(``figure2_specs``, ``figure3_specs``, …), and ``python -m repro run
+<preset>`` runs the same specs from the command line.
 """
 
 from __future__ import annotations

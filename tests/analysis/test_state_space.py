@@ -71,13 +71,26 @@ class TestMeasureStateUsage:
             assert reports[n].converged
         growth = reports[64].overhead_states / max(reports[16].overhead_states, 1)
         assert growth < 64 / 16  # far slower than linear growth in n
+        # ...yet well above the non-self-stabilizing protocol, which needs
+        # only its Θ(log n) ranking layer on top of the n rank states.
+        space_efficient = measure_state_usage(
+            SpaceEfficientRanking(64),
+            max_interactions=600 * 64 * 64,
+            random_state=1,
+            ignore_fields=("le_level", "le_count"),
+        )
+        assert space_efficient.converged
+        assert space_efficient.overhead_states < reports[64].overhead_states
 
 
 class TestOverheadTable:
     def test_table_rows_and_ordering(self):
-        rows = overhead_state_table([64, 1024])
-        assert len(rows) == 2
+        rows = overhead_state_table([64, 1024, 65536])
+        assert len(rows) == 3
         for row in rows:
             assert row["cai_ranking"] == 0
             assert row["space_efficient_ranking"] < row["stable_ranking"]
             assert row["stable_ranking"] < row["burman_style_ranking"]
+        # Exponential improvement over the Burman-style baseline at large n.
+        largest = rows[-1]
+        assert largest["burman_style_ranking"] / largest["stable_ranking"] > 10

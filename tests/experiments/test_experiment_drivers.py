@@ -1,25 +1,68 @@
-"""Tests for the experiment drivers (small parameterizations).
+"""Tests for the paper presets' result views (small parameterizations).
 
-The benchmarks run the paper-scale versions; these tests only check that each
-driver produces structurally correct, plausible output quickly.
+Each preset runs the way every caller runs it: its spec builder through
+:class:`~repro.experiments.study.Study`, then its ``*_result_from_rows``
+converter.  The tests only check that each view is structurally correct
+and plausible, quickly.
 """
+
+import math
 
 import pytest
 
 from repro.core.errors import ExperimentError
-from repro.experiments.comparison import format_comparison, run_comparison
-from repro.experiments.fault_injection import (
-    format_fault_injection,
-    run_fault_injection,
+from repro.experiments.comparison import (
+    comparison_result_from_rows,
+    comparison_specs,
+    format_comparison,
 )
-from repro.experiments.figure2 import format_figure2, run_figure2
-from repro.experiments.figure3 import format_figure3, run_figure3
-from repro.experiments.scaling import format_scaling, run_scaling
+from repro.experiments.fault_injection import (
+    fault_injection_result_from_rows,
+    fault_injection_specs,
+    format_fault_injection,
+)
+from repro.experiments.figure2 import (
+    figure2_result_from_rows,
+    figure2_specs,
+    format_figure2,
+)
+from repro.experiments.figure3 import (
+    figure3_result_from_rows,
+    figure3_specs,
+    format_figure3,
+)
+from repro.experiments.scaling import (
+    format_scaling,
+    scaling_result_from_rows,
+    scaling_specs,
+)
+from repro.experiments.study import Study
+
+
+def figure2(n, random_state, samples):
+    specs = figure2_specs(
+        n_values=(n,), samples=samples, engine="reference",
+        random_state=random_state,
+    )
+    return figure2_result_from_rows(Study(specs, name="figure2").run())
+
+
+def figure3(**kwargs):
+    return figure3_result_from_rows(
+        Study(figure3_specs(**kwargs), name="figure3").run()
+    )
+
+
+def comparison(workload="fresh", **kwargs):
+    specs = comparison_specs(workload=workload, engine="reference", **kwargs)
+    return comparison_result_from_rows(
+        Study(specs, name="comparison").run(), workload=workload
+    )
 
 
 class TestFigure2Driver:
     def test_series_structure_and_recovery(self):
-        result = run_figure2(n=64, random_state=0, samples=80)
+        result = figure2(n=64, random_state=0, samples=80)
         assert result.n == 64
         assert len(result.interactions) == len(result.ranked_agents)
         assert len(result.interactions) == len(result.average_phase)
@@ -30,11 +73,18 @@ class TestFigure2Driver:
         # At least one reset happened (the whole point of the workload).
         assert result.resets >= 1
         assert min(result.ranked_agents) < 63
+        # After the reset the re-ranking walks through the phases again:
+        # the average phase of the unranked agents drops (fresh agents
+        # start at phase 1) and climbs back towards ⌈log₂ n⌉.
+        reset_index = result.ranked_agents.index(min(result.ranked_agents))
+        post_reset_phases = result.average_phase[reset_index:]
+        assert min(post_reset_phases) < math.log2(64) / 2
+        assert max(post_reset_phases) > math.log2(64) / 2
         rows = result.rows()
         assert rows[0]["interactions_over_n2"] == 0.0
 
     def test_formatting_contains_key_facts(self):
-        result = run_figure2(n=32, random_state=1, samples=40)
+        result = figure2(n=32, random_state=1, samples=40)
         text = format_figure2(result)
         assert "Figure 2" in text
         assert "ranked agents" in text
@@ -43,7 +93,7 @@ class TestFigure2Driver:
 
 class TestFigure3Driver:
     def test_aggregate_engine_sweep(self):
-        result = run_figure3(n_values=(64, 128), repetitions=4, engine="aggregate")
+        result = figure3(n_values=(64, 128), repetitions=4, engine="aggregate")
         assert set(result.samples) == {64, 128}
         for n in (64, 128):
             for fraction in result.fractions:
@@ -56,24 +106,25 @@ class TestFigure3Driver:
         assert "Figure 3" in text and "frac 0.5" in text
 
     def test_reference_engine_agrees_roughly_with_aggregate(self):
-        aggregate = run_figure3(
+        aggregate = figure3(
             n_values=(48,), fractions=(0.5,), repetitions=6, engine="aggregate"
         )
-        reference = run_figure3(
+        reference = figure3(
             n_values=(48,), fractions=(0.5,), repetitions=6, engine="reference"
         )
         assert aggregate.mean(48, 0.5) == pytest.approx(reference.mean(48, 0.5), rel=0.6)
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_figure3(engine="magic")
+            figure3_specs(engine="magic")
         with pytest.raises(ExperimentError):
-            run_figure3(repetitions=0)
+            figure3_specs(repetitions=0)
 
 
 class TestScalingDriver:
     def test_normalized_times_are_flat(self):
-        result = run_scaling(n_values=(64, 256), repetitions=4, engine="aggregate")
+        specs = scaling_specs(n_values=(64, 256), repetitions=4, engine="aggregate")
+        result = scaling_result_from_rows(Study(specs, name="scaling").run())
         rows = result.rows()
         assert len(rows) == 2
         values = [row["mean_over_n2_logn"] for row in rows]
@@ -82,12 +133,12 @@ class TestScalingDriver:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_scaling(engine="magic")
+            scaling_specs(engine="magic")
 
 
 class TestComparisonDriver:
     def test_fresh_comparison_structure(self):
-        result = run_comparison(
+        result = comparison(
             n_values=(16,),
             repetitions=2,
             protocols=("cai-ranking", "stable-ranking"),
@@ -103,7 +154,7 @@ class TestComparisonDriver:
         assert "Baseline comparison" in format_comparison(result)
 
     def test_corrupted_workload(self):
-        result = run_comparison(
+        result = comparison(
             n_values=(16,),
             repetitions=2,
             workload="corrupted",
@@ -114,15 +165,19 @@ class TestComparisonDriver:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_comparison(workload="nope")
+            comparison_specs(workload="nope")
         with pytest.raises(ExperimentError):
-            run_comparison(protocols=("unknown-protocol",))
+            comparison_specs(protocols=("unknown-protocol",))
 
 
 class TestFaultInjectionDriver:
     def test_all_faults_recover(self):
-        result = run_fault_injection(
-            n_values=(16,), repetitions=2, max_interactions_factor=2000
+        specs = fault_injection_specs(
+            n_values=(16,), repetitions=2, max_interactions_factor=2000,
+            engine="reference",
+        )
+        result = fault_injection_result_from_rows(
+            Study(specs, name="fault-injection").run()
         )
         rows = result.rows()
         assert {row["fault"] for row in rows} == {
@@ -135,19 +190,15 @@ class TestFaultInjectionDriver:
 
     def test_validation(self):
         with pytest.raises(ExperimentError):
-            run_fault_injection(faults=("meteor_strike",))
+            fault_injection_specs(faults=("meteor_strike",))
         with pytest.raises(ExperimentError):
-            run_fault_injection(repetitions=0)
+            fault_injection_specs(repetitions=0)
 
     def test_empty_cells_report_zero_instead_of_raising(self):
         # Regression: an empty cell used to blow up the summary (empty
         # sample) and the convergence lookup (missing key); it must
         # render as 0 runs / 0.0 recovered instead.
-        from repro.experiments.fault_injection import (
-            FaultInjectionResult,
-            fault_injection_result_from_rows,
-            fault_injection_specs,
-        )
+        from repro.experiments.fault_injection import FaultInjectionResult
         from repro.experiments.study import ResultSet
 
         hollow = fault_injection_result_from_rows(ResultSet([], [], "faults"))

@@ -2,12 +2,9 @@
 
 Downstream users interact with the library through ``import repro``; these
 tests pin the advertised names, their re-export consistency and the basic
-metadata so accidental API breakage is caught — including the deprecated
-``run_*`` driver shims, whose signatures and result shapes must keep
-working until they are removed.
+metadata so accidental API breakage is caught — including the result views
+the paper presets' ``*_result_from_rows`` converters build from a study.
 """
-
-import pytest
 
 import repro
 import repro.analysis
@@ -97,65 +94,69 @@ def test_backend_registry_is_exported():
     assert repro.baselines.CaiStyleRanking is repro.baselines.CaiRanking
 
 
-class TestDeprecatedDriverShims:
-    """The legacy ``run_*`` entry points stay callable with their original
-    signatures, warn about their deprecation, and return the legacy result
-    types (now assembled from a :class:`~repro.experiments.study.Study`)."""
+class TestPresetResultViews:
+    """Each preset's spec builder, run through :class:`~repro.Study`, feeds
+    its ``*_result_from_rows`` converter, which returns the preset's
+    result type."""
 
-    def test_run_scaling_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_scaling"):
-            result = repro.experiments.run_scaling(
-                n_values=(8,), repetitions=2, engine="aggregate", random_state=0
-            )
+    def test_scaling_result_view(self):
+        specs = repro.experiments.scaling_specs(
+            n_values=(8,), repetitions=2, engine="aggregate", random_state=0
+        )
+        result = repro.experiments.scaling_result_from_rows(
+            repro.Study(specs, name="scaling").run()
+        )
         assert isinstance(result, repro.experiments.ScalingResult)
         assert result.engine == "aggregate"
         assert len(result.interactions[8]) == 2
         assert result.rows()[0]["runs"] == 2
 
-    def test_run_comparison_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_comparison"):
-            result = repro.experiments.run_comparison(
-                n_values=(8,),
-                repetitions=1,
-                protocols=("stable-ranking",),
-                max_interactions_factor=2000,
-            )
+    def test_comparison_result_view(self):
+        specs = repro.experiments.comparison_specs(
+            n_values=(8,),
+            repetitions=1,
+            protocols=("stable-ranking",),
+            max_interactions_factor=2000,
+            engine="reference",
+        )
+        result = repro.experiments.comparison_result_from_rows(
+            repro.Study(specs, name="comparison").run()
+        )
         assert isinstance(result, repro.experiments.ComparisonResult)
         assert ("stable-ranking", 8) in result.times
         assert result.overhead[("stable-ranking", 8)] > 0
 
-    def test_run_fault_injection_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_fault_injection"):
-            result = repro.experiments.run_fault_injection(
-                n_values=(8,),
-                repetitions=1,
-                faults=("duplicate_rank",),
-                max_interactions_factor=2000,
-            )
+    def test_fault_injection_result_view(self):
+        specs = repro.experiments.fault_injection_specs(
+            n_values=(8,),
+            repetitions=1,
+            faults=("duplicate_rank",),
+            max_interactions_factor=2000,
+            engine="reference",
+        )
+        result = repro.experiments.fault_injection_result_from_rows(
+            repro.Study(specs, name="fault-injection").run()
+        )
         assert isinstance(result, repro.experiments.FaultInjectionResult)
         assert ("duplicate_rank", 8) in result.recovery
 
-    def test_run_figure2_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_figure2"):
-            result = repro.experiments.run_figure2(n=16, samples=20)
+    def test_figure2_result_view(self):
+        specs = repro.experiments.figure2_specs(
+            n_values=(16,), samples=20, engine="reference"
+        )
+        result = repro.experiments.figure2_result_from_rows(
+            repro.Study(specs, name="figure2").run()
+        )
         assert isinstance(result, repro.experiments.Figure2Result)
         assert result.n == 16
         assert len(result.interactions) == len(result.ranked_agents)
 
-    def test_run_figure3_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_figure3"):
-            result = repro.experiments.run_figure3(
-                n_values=(24,), fractions=(0.5,), repetitions=2, engine="aggregate"
-            )
+    def test_figure3_result_view(self):
+        specs = repro.experiments.figure3_specs(
+            n_values=(24,), fractions=(0.5,), repetitions=2, engine="aggregate"
+        )
+        result = repro.experiments.figure3_result_from_rows(
+            repro.Study(specs, name="figure3").run()
+        )
         assert isinstance(result, repro.experiments.Figure3Result)
         assert len(result.samples[24][0.5]) == 2
-
-    def test_shim_validation_still_raises(self):
-        from repro.core.errors import ExperimentError
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExperimentError):
-                repro.experiments.run_figure3(engine="magic")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExperimentError):
-                repro.experiments.run_comparison(workload="nope")
