@@ -45,16 +45,14 @@ engine speedups from the recorded timings:
     which dominates the ``Θ(n² log n)`` total of paper-scale runs and is
     where the array engine's bulk no-op elimination pays.
 ``epidemic_throughput``
-    The one-way epidemic at n=256 — a protocol whose 4-state space compiles
-    to complete dense ``(S × S)`` tables.
+    The one-way epidemic at n=256 — a 4-state protocol on the lazy table
+    path with its exemplar SoA kernel.
 ``burman_throughput`` / ``cai_throughput`` / ``token_counter_throughput``
     The three comparison baselines at n=64 (matched reference/array pairs,
-    pre-warmed caches).  Burman runs on the lazy tabulated path; Cai on
-    complete dense tables (its n=64 seed states exactly fit the dense
-    budget — larger populations would go lazy); and the token counter —
-    whose GS leader-election substrate consumes randomness — on the
-    declared object fallback, so its pair documents the fallback's cost
-    rather than a speedup.
+    pre-warmed caches).  Burman and Cai run on the lazy tabulated path,
+    and the token counter — whose GS leader-election substrate consumes
+    randomness — on the declared object fallback, so its pair documents
+    the fallback's cost rather than a speedup.
 """
 
 import os
@@ -435,7 +433,7 @@ def test_array_engine_figure2_cell(benchmark):
 
 
 # ----------------------------------------------------------------------
-# One-way epidemic n=256 (dense tables)
+# One-way epidemic n=256 (lazy tables + SoA kernel)
 # ----------------------------------------------------------------------
 def test_epidemic_simulation_throughput(benchmark):
     """Interactions per second for the cheapest protocol (one-way epidemic)."""
@@ -458,9 +456,9 @@ def test_epidemic_simulation_throughput(benchmark):
 
 
 def test_array_engine_epidemic_throughput(benchmark):
-    """Dense-table array engine on the same epidemic workload."""
+    """Array engine on the same epidemic workload."""
     simulator = ArraySimulator(OneWayEpidemicProtocol(EPIDEMIC_N), random_state=1)
-    assert simulator.mode == "dense"
+    assert simulator.mode == "lazy"
 
     def run():
         simulator.run(

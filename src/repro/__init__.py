@@ -63,7 +63,7 @@ from .scenarios import (
 from .experiments.store import ResultStore
 from .experiments.study import ExperimentSpec, ResultSet, RunRow, Study
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AgentState",

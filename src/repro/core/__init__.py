@@ -18,7 +18,7 @@ from .backends import (
     register_backend,
     resolve_backend,
 )
-from .codec import DenseTransitionTables, StateCodec, compile_dense_tables
+from .codec import StateCodec
 from .group_engine import (
     CountGoal,
     GroupCountSimulator,
@@ -61,7 +61,6 @@ __all__ = [
     "Configuration",
     "ConfigurationError",
     "CountGoal",
-    "DenseTransitionTables",
     "EngineCache",
     "EventDrivenSimulator",
     "ExperimentError",
@@ -96,7 +95,6 @@ __all__ = [
     "occurrence_index",
     "register_backend",
     "resolve_backend",
-    "compile_dense_tables",
     "make_rng",
     "make_simulator",
     "spawn_rngs",

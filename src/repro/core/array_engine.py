@@ -16,7 +16,7 @@ participants, so interactions that provably change nothing commute with
 everything.  Each chunk is processed in two steps:
 
 1. **Optimistic bulk no-op elimination.**  The outcome of every pair is
-   probed against the compiled transition tables *without* evaluating
+   probed against the tabulated transition tables *without* evaluating
    unknown entries.  The *volatile* agent set is read off the probes:
    agents some pair currently writes, plus both agents of every
    untabulated pair.  Pairs touching no volatile agent are *tentatively*
@@ -57,19 +57,12 @@ replayed at the cadence — see :meth:`ArraySimulator.run`.
 
 Engine modes
 ------------
-``dense``
-    The reachable state space closed under the transition function fits in
-    ``max_dense_states`` states; complete ``(S × S)`` numpy tables are
-    precompiled (:func:`~repro.core.codec.compile_dense_tables`) and chunk
-    probes are plain fancy indexing.  The one-way epidemic (4 states) runs
-    here.
 ``lazy``
-    The concrete state space is too large to enumerate eagerly
-    (``StableRanking`` has ``n + Θ(log² n)`` states with large constants),
-    so table entries are tabulated on first use and cached — the
-    vectorized-kernel fallback path.  Still exact and deterministic; share
-    an :class:`EngineCache` across runs of equivalent protocols to amortize
-    the tabulation.
+    Table entries are tabulated on first use and cached, so only the state
+    pairs a run actually meets are ever evaluated (``StableRanking`` has
+    ``n + Θ(log² n)`` states with large constants; the one-way epidemic
+    has 4).  Exact and deterministic; share an :class:`EngineCache` across
+    runs of equivalent protocols to amortize the tabulation.
 ``object``
     The transition consumes randomness (the GS leader-election substrate
     draws random tags), so state pairs cannot be cached at all.  The engine
@@ -78,7 +71,7 @@ Engine modes
     also mid-run if a lazily tabulated protocol first consumes randomness
     deep into a trajectory (the walk order makes the hand-over exact).
 
-On top of the two table modes, a protocol may provide a *struct-of-arrays
+On top of the table mode, a protocol may provide a *struct-of-arrays
 vectorized kernel* (:mod:`repro.core.soa`, enabled with
 ``use_soa_kernel=True``, the default): the kernel consumes exact chunk
 prefixes with column operations — coin-toggle parity, counter chains —
@@ -90,7 +83,7 @@ bit-exact sequential semantics.  See ``docs/engines.md`` for the full
 mode ladder.
 
 Protocol-level *diagnostic* counters (e.g. ``RankingPlus.errors_detected``)
-are perturbed by tabulation probes and, in the table modes, do not reflect
+are perturbed by tabulation probes and, on the table path, do not reflect
 the simulated trajectory; all counters in ``SimulationResult`` are exact.
 """
 
@@ -102,18 +95,12 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .codec import (
-    RAISING_RNG,
-    DenseTransitionTables,
-    StateCodec,
-    compile_dense_tables,
-)
+from .codec import RAISING_RNG, StateCodec
 from .configuration import Configuration
 from .errors import (
     CodecError,
     RandomnessConsumed,
     SimulationLimitExceeded,
-    StateSpaceTooLarge,
     check_budget,
 )
 from .metrics import MetricsCollector
@@ -146,16 +133,6 @@ _RESET_BIT = 1 << _RESET_SHIFT
 _RANK_FIELD = _RANK_MASK << _RANK_SHIFT
 #: Any bit at or above the rank field: pairs without any of these are inert.
 _FLAG_FIELD = _RANK_FIELD | _CHANGED_BIT | _RESET_BIT
-
-def _pack_outcome(outcome) -> int:
-    """Pack a :class:`~repro.core.codec.PairOutcome` into one int64."""
-    return (
-        outcome.next_initiator
-        | (outcome.next_responder << _CODE_BITS)
-        | (outcome.rank_assigned << _RANK_SHIFT)
-        | (int(outcome.changed) << _CHANGED_SHIFT)
-        | (int(outcome.reset_triggered) << _RESET_SHIFT)
-    )
 
 
 # Probe-class bits: what an interaction between two states does, compressed
@@ -202,7 +179,7 @@ class EngineCache:
     """
 
     __slots__ = (
-        "codec", "pair_cache", "probe_table", "dense_tables", "mode",
+        "codec", "pair_cache", "probe_table", "mode",
         "soa_kernel", "soa_columns",
         "persist_dir", "_store_entry", "_spill_mark", "_persist_failed",
     )
@@ -215,7 +192,6 @@ class EngineCache:
         #: :data:`~repro.core.probe_table.DENSE_STATE_LIMIT` states — so
         #: arbitrarily large state spaces stay on the warm probe path.
         self.probe_table = ProbeClassTable(key_bits=_CODE_BITS)
-        self.dense_tables: Optional[DenseTransitionTables] = None
         #: Resolved engine mode, or ``None`` until the first simulator decides.
         self.mode: Optional[str] = None
         #: Shared protocol-provided SoA kernel and its column store (both
@@ -241,11 +217,9 @@ class EngineCache:
         """Bind to the persistent store and merge its artifacts once.
 
         Called by the engines' mode selection right before the first
-        codec interning, so a dense artifact can restore the compiled
-        tables (identity code mapping into the still-empty codec) and
-        pair spills can seed the lazy tabulation.  Any store failure
-        warns and permanently disables persistence for this cache — the
-        run continues cold, never poisoned.
+        codec interning, so pair spills seed the lazy tabulation.  Any
+        store failure warns and permanently disables persistence for this
+        cache — the run continues cold, never poisoned.
         """
         if (
             self.persist_dir is None
@@ -264,24 +238,6 @@ class EngineCache:
         self._store_entry = entry
         codec = self.codec
         try:
-            if self.mode is None and entry.mode_hint() == "lazy":
-                # Skip the doomed dense enumeration attempt a previous
-                # process already paid for.  ("dense" hints are not
-                # forced: the dense artifact below carries the proof.)
-                self.mode = "lazy"
-            if codec.size == 0 and self.dense_tables is None:
-                loaded = entry.load_dense()
-                if loaded is not None:
-                    states, arrays = loaded
-                    for state in states:
-                        codec.encode(state)
-                    self.dense_tables = DenseTransitionTables(
-                        next_initiator=arrays["next_initiator"],
-                        next_responder=arrays["next_responder"],
-                        changed=arrays["changed"],
-                        rank=arrays["rank"],
-                        reset=arrays["reset"],
-                    )
             merged: Dict[int, int] = {}
             for states, keys, vals in entry.load_pair_spills():
                 # Remap the spill's private codes onto the live codec.
@@ -344,34 +300,15 @@ class EngineCache:
         """Persist what this process newly tabulated; returns pairs written.
 
         Call on finalize (the study layer does, after each executed
-        unit).  Dense tables are written once per entry; lazily tabulated
-        pairs beyond the last load/spill watermark become one new
-        immutable spill artifact.  Failures warn and disable persistence
-        — results are never affected.
+        unit).  Tabulated pairs beyond the last load/spill watermark
+        become one new immutable spill artifact.  Failures warn and
+        disable persistence — results are never affected.
         """
         entry = self._store_entry
         if entry is None or self._persist_failed:
             return 0
         written = 0
         try:
-            if self.mode in ("dense", "lazy"):
-                entry.save_mode_hint(self.mode)
-            if self.dense_tables is not None:
-                tables = self.dense_tables
-                states = [
-                    self.codec.prototype(code)
-                    for code in range(tables.size)
-                ]
-                entry.write_dense(
-                    states,
-                    {
-                        "next_initiator": tables.next_initiator,
-                        "next_responder": tables.next_responder,
-                        "changed": tables.changed,
-                        "rank": tables.rank,
-                        "reset": tables.reset,
-                    },
-                )
             count = len(self.pair_cache) - self._spill_mark
             if count > 0:
                 items = list(
@@ -397,48 +334,6 @@ class EngineCache:
                 f"{error}); continuing without persistence"
             )
         return written
-
-
-class _DenseKernel:
-    """Chunk probes backed by precompiled complete ``(S × S)`` tables."""
-
-    def __init__(self, tables: DenseTransitionTables):
-        self._tables = tables
-        size = tables.size
-        packed = (
-            tables.next_initiator.astype(np.int64)
-            | (tables.next_responder.astype(np.int64) << _CODE_BITS)
-            | (tables.rank.astype(np.int64) << _RANK_SHIFT)
-            | (tables.changed.astype(np.int64) << _CHANGED_SHIFT)
-            | (tables.reset.astype(np.int64) << _RESET_SHIFT)
-        )
-        codes = np.arange(size, dtype=np.int64)
-        keys = (codes[:, None] << _CODE_BITS) | codes[None, :]
-        #: Scalar-probe view of the same tables, used by the ordered walk.
-        self.pair_dict: Dict[int, int] = dict(
-            zip(keys.ravel().tolist(), packed.ravel().tolist())
-        )
-        classes = np.zeros((size, size), dtype=np.int8)
-        classes |= (tables.next_initiator != codes[:, None]) * _CLS_WRITES_U
-        classes |= (tables.next_responder != codes[None, :]) * _CLS_WRITES_V
-        classes |= ((packed & _FLAG_FIELD) != 0) * _CLS_FLAGGED
-        self._classes = classes
-
-    @property
-    def tables(self) -> DenseTransitionTables:
-        return self._tables
-
-    @property
-    def cached_pairs(self) -> int:
-        """Number of tabulated state pairs (diagnostics)."""
-        return len(self.pair_dict)
-
-    def probe_class(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-        """Probe-class bytes for a batch of state pairs (complete tables)."""
-        return self._classes[cu, cv]
-
-    def evaluate_packed(self, key: int) -> int:  # pragma: no cover - defensive
-        raise KeyError(f"dense tables are complete but miss key {key}")
 
 
 class _LazyKernel:
@@ -584,13 +479,6 @@ class ArraySimulator:
     chunk_size:
         Pairs sampled per generator call.  Must match the reference
         scheduler's ``chunk_size`` (default 4096) for same-seed equality.
-    max_dense_states:
-        State budget for the eager dense-table attempt; protocols exceeding
-        it use the lazy kernel.
-    engine_mode:
-        Force ``"dense"``, ``"lazy"`` or ``"object"`` instead of the
-        automatic selection (used by tests; dense may legitimately fail with
-        :class:`StateSpaceTooLarge`).
     cache:
         Optional :class:`EngineCache` shared across simulators of
         equivalent protocols.
@@ -598,7 +486,7 @@ class ArraySimulator:
         Whether to ask the protocol for a struct-of-arrays
         :class:`~repro.core.soa.VectorizedKernel` (see
         ``PopulationProtocol.vectorized_kernel``) and route chunk prefixes
-        through it on the table paths.  The kernel is exact, so this only
+        through it on the table path.  The kernel is exact, so this only
         trades performance; disable it to benchmark or debug the scalar
         walk in isolation.
     """
@@ -651,8 +539,6 @@ class ArraySimulator:
         metrics: Optional[MetricsCollector] = None,
         convergence_interval: Optional[int] = None,
         chunk_size: int = 4096,
-        max_dense_states: int = 64,
-        engine_mode: Optional[str] = None,
         cache: Optional[EngineCache] = None,
         use_soa_kernel: bool = True,
         topology=None,
@@ -713,16 +599,15 @@ class ArraySimulator:
         self._codes_np: Optional[np.ndarray] = None
         self._kernel = None
         self._cache = cache if cache is not None else EngineCache()
-        self._max_dense_states = max_dense_states
-        self._mode = self._select_mode(engine_mode, max_dense_states)
+        self._mode = self._select_mode()
 
-        # Protocol-provided struct-of-arrays kernel (table paths only).
+        # Protocol-provided struct-of-arrays kernel (table path only).
         self._soa: Optional[VectorizedKernel] = None
         self._soa_columns: Optional[ColumnStore] = None
         self._soa_interactions = 0
         self._soa_strikes = 0
         self._soa_backoff = 0
-        if use_soa_kernel and self._mode in ("dense", "lazy"):
+        if use_soa_kernel and self._mode == "lazy":
             soa = self._cache.soa_kernel
             if soa is None:
                 soa = protocol.vectorized_kernel(self._codec)
@@ -742,81 +627,33 @@ class ArraySimulator:
     # ------------------------------------------------------------------
     # Mode selection
     # ------------------------------------------------------------------
-    def _select_mode(self, requested: Optional[str], max_dense_states: int) -> str:
-        if requested not in (None, "dense", "lazy", "object"):
-            raise ValueError(f"unknown engine_mode {requested!r}")
+    def _select_mode(self) -> str:
         cache = self._cache
-        if requested == "object" or (requested is None and cache.mode == "object"):
+        if cache.mode == "object":
             return "object"
-        if requested is None and self._protocol.consumes_randomness() is True:
+        if self._protocol.consumes_randomness() is True:
             # The protocol declares up front that its transition draws
             # randomness (see PopulationProtocol.consumes_randomness), so
-            # state pairs can never be tabulated: skip the doomed dense
-            # attempt and go straight to the object path.
+            # state pairs can never be tabulated: go straight to the
+            # object path.
             cache.mode = "object"
             return "object"
         codec = cache.codec
         # Merge persisted tables (if a store is attached) before the first
-        # interning, so a dense artifact lands in the still-empty codec and
-        # pair spills seed the lazy tabulation.  No-op after first contact.
+        # interning, so pair spills seed the tabulation.  No-op after
+        # first contact.
         cache.load_persisted(self._protocol)
         try:
             codes = codec.encode_many(self._configuration.states)
         except CodecError:
-            if requested is not None:
-                raise
             cache.mode = "object"
             return "object"
         self._codec = codec
         self._codes_np = codes
         self._code_list = codes.tolist()
         if self._n >= _MAX_RANK:
-            if requested in ("dense", "lazy"):
-                raise CodecError(
-                    f"array engine table modes support n < {_MAX_RANK}, got {self._n}"
-                )
             return "object"
-        if requested == "lazy":
-            self._kernel = _LazyKernel(self._protocol, codec, cache)
-            return "lazy"
-        if cache.mode is None or requested == "dense" or cache.mode == "dense":
-            try:
-                if (
-                    cache.dense_tables is None
-                    or cache.dense_tables.size < codec.size
-                ):
-                    # First compilation, or this configuration contains
-                    # states outside the closure a previous sharer
-                    # enumerated: recompile over the union so the tables
-                    # stay complete for every code the codec knows.  The
-                    # protocol's declared seed states (when few enough to
-                    # fit the budget) join the start set, so protocols
-                    # with a small *complete* concrete space — e.g. the
-                    # Cai baseline's n label states — compile tables that
-                    # also cover adversarial starts outside the designated
-                    # configuration's closure.
-                    start_codes = codes.tolist()
-                    declared = list(self._protocol.seed_states())
-                    if declared and len(declared) <= max_dense_states:
-                        start_codes.extend(
-                            codec.encode(state) for state in declared
-                        )
-                    cache.dense_tables = compile_dense_tables(
-                        self._protocol, codec, start_codes,
-                        max_states=max_dense_states,
-                    )
-                cache.mode = "dense"
-                self._kernel = _DenseKernel(cache.dense_tables)
-                return "dense"
-            except StateSpaceTooLarge:
-                if requested == "dense":
-                    raise
-                cache.mode = "lazy"
-            except RandomnessConsumed:
-                if requested == "dense":
-                    raise
-                cache.mode = "object"
-                return "object"
+        cache.mode = "lazy"
         self._kernel = _LazyKernel(self._protocol, codec, cache)
         return "lazy"
 
@@ -847,9 +684,7 @@ class ArraySimulator:
         mutate them in place — see :mod:`repro.scenarios.events`), then
         re-encodes the perturbed population and re-enters the warm table
         path.  New states the perturbation introduced are interned on the
-        fly; in dense mode the complete tables are recompiled over the
-        widened space (degrading to the lazy kernel if the closure
-        outgrows the dense budget).  The pair buffer is untouched, so the
+        fly and tabulated on first use.  The pair buffer is untouched, so the
         scheduler stream — and with it same-seed reference equality —
         survives the boundary.
         """
@@ -869,7 +704,8 @@ class ArraySimulator:
             return summary
         self._codes_np = codes
         self._code_list = codes.tolist()
-        self._refresh_tables_after_perturbation()
+        if self._codec.size > _MAX_CODES:
+            self._leave_table_modes()
         return summary
 
     def _leave_table_modes(self) -> None:
@@ -883,34 +719,6 @@ class ArraySimulator:
         self._code_list = None
         self._codes_np = None
         self._cache.mode = "object"
-
-    def _refresh_tables_after_perturbation(self) -> None:
-        """Re-enter the table paths after the codec may have widened."""
-        codec = self._codec
-        if codec.size > _MAX_CODES:
-            self._leave_table_modes()
-            return
-        if self._mode != "dense":
-            # The lazy kernel tabulates novel pairs on demand and its
-            # probe table grows with the codec; nothing to refresh.
-            return
-        tables = self._cache.dense_tables
-        if tables is not None and tables.size >= codec.size:
-            return
-        try:
-            self._cache.dense_tables = compile_dense_tables(
-                self._protocol, codec, list(range(codec.size)),
-                max_states=self._max_dense_states,
-            )
-        except StateSpaceTooLarge:
-            self._mode = "lazy"
-            self._cache.mode = "lazy"
-            self._kernel = _LazyKernel(self._protocol, codec, self._cache)
-            return
-        except RandomnessConsumed:
-            self._leave_table_modes()
-            return
-        self._kernel = _DenseKernel(self._cache.dense_tables)
 
     def run_segmented(
         self,
@@ -939,7 +747,8 @@ class ArraySimulator:
 
     @property
     def mode(self) -> str:
-        """The engine path in use: ``"dense"``, ``"lazy"`` or ``"object"``."""
+        """The engine path in use: ``"lazy"`` (tabulated on first use) or
+        ``"object"`` (transitions run on state objects)."""
         return self._mode
 
     @property
@@ -997,7 +806,7 @@ class ArraySimulator:
     def _view_configuration(self) -> Configuration:
         """A read-only configuration view for predicates and probes.
 
-        On the table paths the view shares codec prototypes across agents,
+        On the table path the view shares codec prototypes across agents,
         so callers must not mutate the states (convergence predicates and
         metric probes only read).
         """
@@ -1144,14 +953,12 @@ class ArraySimulator:
             self._soa_backoff -= 1
             return self._tables_to_stop(pairs)
         share_probe = getattr(self._soa, "chunk_scalar_share", None)
-        if self._mode == "lazy" and share_probe is not None:
+        if share_probe is not None:
             # Fold the lazy pair cache into the kernel dispatch: in
             # scalar-loop-bound regimes, chunks the cache has mostly seen
             # before run faster on the warm table path than in the
             # kernel's chains, so the kernel keeps only the novelty-heavy
-            # chunks (where walking would mean tabulating).  Dense tables
-            # are complete, so this distinction does not exist there and
-            # the kernel always gets the chunk.
+            # chunks (where walking would mean tabulating).
             share = share_probe(self._codes_np[pairs[:, 1]], self._soa_columns)
             if share >= self.SOA_DISPATCH_SCALAR_SHARE:
                 classes = self._kernel.probe_class(
@@ -1239,7 +1046,7 @@ class ArraySimulator:
     def _tables_to_stop(
         self, pairs: np.ndarray, classes: Optional[np.ndarray] = None
     ) -> int:
-        """Run ``pairs`` on the table paths up to the next metric snapshot,
+        """Run ``pairs`` on the table path up to the next metric snapshot,
         record it, and return the number of pairs executed."""
         count = self._until_stop(len(pairs))
         self._process_chunk_tables(

@@ -56,8 +56,8 @@ class CodecError(ReproError):
 class StateSpaceTooLarge(CodecError):
     """A state-space enumeration exceeded its ``max_states`` budget.
 
-    The array engine catches this to fall back from the precompiled dense
-    transition tables to the lazily tabulated kernel path.
+    Raised by the group engine's transition model when more distinct
+    states become occupied than its budget allows.
     """
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Generic, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Generic, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -160,18 +160,6 @@ class PopulationProtocol(abc.ABC, Generic[S]):
         states into per-field integer columns (SoA kernels, capability
         matrices, cross-engine equivalence tests).  An empty tuple (the
         default) means the projection is undeclared.
-        """
-        return ()
-
-    def seed_states(self) -> Sequence[S]:
-        """Representative states to seed reachable-space enumeration.
-
-        The array engine closes the *initial configuration's* states under
-        the transition function when compiling dense tables; protocols
-        whose full concrete state space is small can return it here so the
-        compiled tables also cover configurations outside that closure
-        (adversarial starts, fault-injected rankings).  The default empty
-        sequence keeps the configuration-only behaviour.
         """
         return ()
 

@@ -15,10 +15,11 @@ floor:
   load unions all spills (later wins per pair — outcomes are
   deterministic, so duplicates agree) and remaps the spill's private
   state codes onto the live codec.
-* **Dense tables** (``dense/``): the complete ``(S × S)`` transition
-  arrays for protocols whose reachable space enumerates, loaded with
-  ``np.load(mmap_mode="r")`` so N worker processes share one OS page
-  cache instead of N private copies.
+* **Dense tables** (``dense/``): complete ``(S × S)`` transition arrays,
+  loaded with ``np.load(mmap_mode="r")``.  A legacy artifact: the array
+  engine tabulates every protocol lazily and no longer writes or reads
+  it, but :meth:`TableStoreEntry.describe` still reports one left in an
+  older store.
 * **Group models** (``group/model-*``): the group-count engine's
   productive-transition model (tabulated codes + successor map), so e.g.
   the epidemic preset at n=10⁶ skips re-deriving transitions entirely.
@@ -315,30 +316,6 @@ class TableStoreEntry:
         except (OSError, ValueError):
             return None
 
-    # ---------------------------------------------------------------- meta
-    def mode_hint(self) -> Optional[str]:
-        """The engine mode a previous process resolved ("dense"/"lazy")."""
-        path = self.directory / "meta.json"
-        try:
-            meta = json.loads(path.read_text())
-        except OSError:
-            return None
-        except ValueError as error:
-            _discard_file(path, error)
-            return None
-        if meta.get("format") != FORMAT_VERSION:
-            return None
-        mode = meta.get("mode")
-        return mode if mode in ("dense", "lazy") else None
-
-    def save_mode_hint(self, mode: str) -> None:
-        if self.mode_hint() == mode:
-            return
-        self._ensure_key()
-        tmp = self.directory / f".meta-{uuid.uuid4().hex}"
-        tmp.write_text(json.dumps({"format": FORMAT_VERSION, "mode": mode}))
-        os.replace(tmp, self.directory / "meta.json")
-
     # --------------------------------------------------------------- pairs
     def write_pair_spill(
         self, states: Sequence, keys: np.ndarray, vals: np.ndarray
@@ -398,6 +375,8 @@ class TableStoreEntry:
         return spills
 
     # --------------------------------------------------------------- dense
+    # Legacy artifact: no engine writes or reads it any more.  The pair
+    # stays while perfbench/trace/perfbench_trace.py wraps it by name.
     def write_dense(
         self, states: Sequence, arrays: Dict[str, np.ndarray]
     ) -> bool:
@@ -563,24 +542,11 @@ class TableStoreEntry:
             "pairs": pair_count,
             "dense_states": dense_size,
             "group_states": group_count,
-            "mode": self.mode_hint(),
             "bytes": bytes_on_disk,
         }
 
     def clear(self) -> None:
         shutil.rmtree(self.directory, ignore_errors=True)
-
-
-def _discard_file(path: Path, error: Exception) -> None:
-    _SESSION_STATS["artifacts_discarded"] += 1
-    warnings.warn(
-        f"discarding unreadable table-store file {path} "
-        f"({type(error).__name__}: {error})"
-    )
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 class TableStore:

@@ -642,7 +642,6 @@ def _cache_command(args) -> int:
                 f"pairs {info['pairs']} ({info['spills']} spills)  "
                 f"dense {info['dense_states'] or 0}  "
                 f"group {info['group_states'] or 0}  "
-                f"mode {info['mode'] or '-'}  "
                 f"{info['bytes']} bytes"
             )
         return 0

@@ -1,16 +1,12 @@
-"""Unit tests for the state codec and the dense transition compiler."""
+"""Unit tests for the state codec and single-pair tabulation."""
 
 import numpy as np
 import pytest
 
-from repro.core.codec import (
-    RAISING_RNG,
-    StateCodec,
-    compile_dense_tables,
-    enumerate_reachable_states,
-    evaluate_pair,
-)
-from repro.core.errors import CodecError, RandomnessConsumed, StateSpaceTooLarge
+from repro.core import array_engine
+from repro.core.array_engine import ArraySimulator
+from repro.core.codec import RAISING_RNG, StateCodec, evaluate_pair
+from repro.core.errors import CodecError, RandomnessConsumed
 from repro.core.state import AgentState
 from repro.protocols.leader_election.gs_leader_election import GSLeaderElectionProtocol
 from repro.protocols.primitives.one_way_epidemic import (
@@ -74,11 +70,11 @@ class TestStateCodecRoundTrip:
             code = codec.encode(state)
             assert codec.materialize(code).as_tuple() == state.as_tuple()
 
-    def test_encode_decode_is_identity_over_enumerated_space(self):
-        protocol = OneWayEpidemicProtocol(8)
-        codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
-        enumerate_reachable_states(protocol, codec, start, max_states=16)
+    def test_encode_decode_is_identity_over_visited_space(self):
+        array = ArraySimulator(StableRanking(8), random_state=1)
+        array.run(max_interactions=20_000)
+        codec = array.codec
+        assert codec.size > 8
         for code in range(codec.size):
             state = codec.materialize(code)
             assert codec.encode(state) == code
@@ -113,49 +109,40 @@ class TestStateCodecRoundTrip:
             codec.encode(object())
 
 
-class TestDenseCompilation:
-    def test_epidemic_tables_match_per_pair_evaluation(self):
+class TestPairTabulation:
+    def test_lazy_kernel_outcomes_match_per_pair_evaluation(self):
+        # The engine's inlined tabulation packs exactly what evaluate_pair
+        # computes, for every pair a run walked (the SoA kernel would take
+        # the epidemic's chunks without tabulating, so it is off here).
         protocol = OneWayEpidemicProtocol(8)
-        codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
-        tables = compile_dense_tables(protocol, codec, start, max_states=16)
-        assert tables.size == codec.size
-        assert tables.size <= 4  # informed x active, minus unreachable combos
-        check = StateCodec()
-        for s in protocol.initial_configuration().states:
-            check.encode(s)
-        for a in range(tables.size):
-            for b in range(tables.size):
-                outcome = evaluate_pair(protocol, codec, a, b)
-                assert tables.next_initiator[a, b] == outcome.next_initiator
-                assert tables.next_responder[a, b] == outcome.next_responder
-                assert tables.changed[a, b] == outcome.changed
+        array = ArraySimulator(protocol, random_state=2, use_soa_kernel=False)
+        array.run(max_interactions=10_000)
+        codec = array.codec
+        pair_dict = array.kernel.pair_dict
+        assert pair_dict
+        bits, mask = array_engine._CODE_BITS, array_engine._CODE_MASK
+        for key, packed in pair_dict.items():
+            outcome = evaluate_pair(protocol, codec, key >> bits, key & mask)
+            assert packed & mask == outcome.next_initiator
+            assert (packed >> bits) & mask == outcome.next_responder
+            assert bool(packed & array_engine._CHANGED_BIT) == outcome.changed
 
     def test_epidemic_infection_is_tabulated(self):
         protocol = OneWayEpidemicProtocol(4)
         codec = StateCodec()
         informed = codec.encode(EpidemicState(informed=True, active=True))
         uninformed = codec.encode(EpidemicState(informed=False, active=True))
-        tables = compile_dense_tables(
-            protocol, codec, [informed, uninformed], max_states=8
-        )
-        assert tables.changed[informed, uninformed]
-        assert tables.next_responder[informed, uninformed] == informed
-        assert not tables.changed[uninformed, informed]
-
-    def test_large_state_space_aborts(self):
-        protocol = StableRanking(32)
-        codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
-        with pytest.raises(StateSpaceTooLarge):
-            compile_dense_tables(protocol, codec, start, max_states=16)
+        infection = evaluate_pair(protocol, codec, informed, uninformed)
+        assert infection.changed
+        assert infection.next_responder == informed
+        assert not evaluate_pair(protocol, codec, uninformed, informed).changed
 
     def test_randomness_consumption_is_detected(self):
         protocol = GSLeaderElectionProtocol(8)
         codec = StateCodec()
-        start = [codec.encode(s) for s in protocol.initial_configuration().states]
+        start = codec.encode(protocol.initial_configuration().states[0])
         with pytest.raises(RandomnessConsumed):
-            compile_dense_tables(protocol, codec, start, max_states=64)
+            evaluate_pair(protocol, codec, start, start)
 
     def test_raising_rng_raises_on_any_use(self):
         with pytest.raises(RandomnessConsumed):

@@ -279,15 +279,3 @@ class TestEngineBeyondOldCap:
         assert [s.rank for s in array.configuration.states] == [
             s.rank for s in reference.configuration.states
         ]
-
-    def test_forced_dense_large_space_still_raises(self):
-        # The dense *transition table* budget is a separate mechanism and
-        # must still refuse: only the probe-class cap was lifted.
-        from repro.core.array_engine import ArraySimulator
-        from repro.core.errors import StateSpaceTooLarge
-        from repro.protocols.ranking.stable_ranking import StableRanking
-
-        with pytest.raises(StateSpaceTooLarge):
-            ArraySimulator(
-                StableRanking(64), engine_mode="dense", max_dense_states=16
-            )

@@ -211,7 +211,7 @@ class TestEpidemicEquivalence:
         )
         expected = reference.run(max_interactions=200_000)
         actual = array.run(max_interactions=200_000)
-        assert array.mode == "dense"
+        assert array.mode == "lazy"
         assert array.soa_interactions > 0
         assert_same_run(expected, actual)
 

@@ -3,7 +3,7 @@
 The store's contract has two halves, and this suite pins both:
 
 * **Warmth transfers**: a fresh :class:`EngineCache` pointed at a
-  populated store merges the persisted pairs / dense tables before its
+  populated store merges the persisted pairs before its
   first interning, and the resulting trajectories are bit-identical to
   cold runs — the store changes *when* tables are computed, never what.
 * **Corruption cannot poison**: a truncated spill payload, a stale
@@ -95,30 +95,6 @@ class TestPairSpillRoundTrip:
         assert stats["pairs_spilled"] == 0
         assert stats["spills_written"] == 0
         assert list(tmp_path.iterdir()) == []
-
-
-class TestDenseArtifact:
-    def test_dense_tables_persist_and_reload(self, tmp_path):
-        store = tmp_path / "tables"
-        consume_session_stats()
-        cold_cache = EngineCache(persist_dir=store)
-        cold = run_serial(
-            "array", OneWayEpidemicProtocol, 64, SEED,
-            budget=100 * 64 * 64, cache=cold_cache,
-        )
-        assert cold_cache.mode == "dense"
-        cold_cache.spill()
-        assert (next(Path(store).iterdir()) / "dense").is_dir()
-
-        consume_session_stats()
-        warm_cache = EngineCache(persist_dir=store)
-        warm = run_serial(
-            "array", OneWayEpidemicProtocol, 64, SEED,
-            budget=100 * 64 * 64, cache=warm_cache,
-        )
-        stats = consume_session_stats()
-        assert stats["dense_loaded"] == 1
-        assert_identical(cold, warm, context="dense persisted-warm")
 
 
 class TestCorruptionRecovery:
@@ -271,7 +247,6 @@ class TestContentAddressing:
         info = entry.describe()
         assert info["spills"] == 1
         assert info["pairs"] == len(cache.pair_cache)
-        assert info["mode"] == "lazy"
         assert info["bytes"] > 0
         table_store.clear()
         assert table_store.entries() == []

@@ -7,8 +7,7 @@ from repro.core.state import AgentState
 class LateRandomProtocol(PopulationProtocol):
     """Deterministic counters that start consuming rng at a threshold.
 
-    The per-agent counter space (0…200) overflows the dense-table budget,
-    so the engines start on the lazy path; the first agent to reach the
+    The engines start on the lazy path; the first agent to reach the
     threshold makes its transition consume randomness, which raises
     ``RandomnessConsumed`` inside the tabulated walk and exercises the
     *mid-run* demotion to the object path, at a seed-dependent time.
@@ -34,13 +33,12 @@ class LateRandomProtocol(PopulationProtocol):
 class ClosedLateRandomProtocol(PopulationProtocol):
     """Monotone counters with a closed goal that demote mid-run.
 
-    Initiators count up to 200 (too many states for the dense budget, so
-    the engines start lazy); from ``THRESHOLD`` on, an initiator draws a
-    coin that may also advance its responder, which raises
-    ``RandomnessConsumed`` in the tabulated walk.  Counters never
-    decrease, so the goal "every counter reached ``THRESHOLD``" is closed
-    — and at small ``n`` the first demotion and the convergence fall into
-    one pair buffer.
+    Initiators count up to 200 and the engines start lazy; from
+    ``THRESHOLD`` on, an initiator draws a coin that may also advance its
+    responder, which raises ``RandomnessConsumed`` in the tabulated walk.
+    Counters never decrease, so the goal "every counter reached
+    ``THRESHOLD``" is closed — and at small ``n`` the first demotion and
+    the convergence fall into one pair buffer.
     """
 
     name = "closed-late-random"

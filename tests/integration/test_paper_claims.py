@@ -5,6 +5,12 @@ Theorem 1 bounds the stabilization time of ``SpaceEfficientRanking`` by
 exact aggregate engine; if the bound is tight, the per-``n`` mean of
 ``interactions / (n² log₂ n)`` stays flat across the n-ladder.
 
+Theorem 2 bounds ``StableRanking``'s state count by ``n + O(log² n)``,
+and every deterministic protocol declares its count in
+``state_space_size()``.  The array engine interns only the states its runs
+visit, so the codec of a cache shared by complete runs counts the visited
+concrete states, which must stay within the declared count.
+
 The one-way epidemic, the paper's Lemma 14 primitive, has an exact
 completion law on the ring and on the complete graph; the array engine's
 mean completion time is z-tested against it.
@@ -20,10 +26,13 @@ from repro.analysis.theory import (
     complete_epidemic_expected_interactions,
     ring_epidemic_expected_interactions,
 )
+from repro.baselines.burman_ranking import BurmanStyleRanking
+from repro.baselines.cai_ranking import CaiRanking
 from repro.core.array_engine import ArraySimulator, EngineCache
 from repro.experiments.scaling import scaling_specs
 from repro.experiments.study import Study
 from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
+from repro.protocols.ranking.stable_ranking import StableRanking
 from repro.topologies import build_topology
 
 #: Largest allowed max/min ratio of the per-n normalized means.  At the
@@ -50,6 +59,33 @@ def test_theorem1_normalized_stabilization_time_is_flat_in_n(tmp_path):
     assert max(normalized.values()) / min(normalized.values()) <= THEOREM1_FLATNESS, (
         normalized
     )
+
+
+@pytest.mark.parametrize(
+    "factory,n",
+    [
+        (StableRanking, 32),
+        (StableRanking, 64),
+        (BurmanStyleRanking, 16),
+        (BurmanStyleRanking, 32),
+        (CaiRanking, 16),
+        (CaiRanking, 32),
+        (OneWayEpidemicProtocol, 64),
+    ],
+)
+def test_visited_states_stay_within_the_declared_state_space(factory, n):
+    # Four complete runs through one cache.  With these seeds the codec
+    # holds 1,126 / 2,580 StableRanking states at n = 32 / 64 (declared
+    # 6,328 / 9,108), 688 / 1,053 Burman states at n = 16 / 32 (declared
+    # 2,688 / 4,120), all n Cai labels and 2 of the epidemic's 4.
+    cache = EngineCache()
+    for seed in range(4):
+        result = ArraySimulator(
+            factory(n), random_state=seed, cache=cache
+        ).run(max_interactions=400 * n * n)
+        assert result.converged
+    declared = factory(n).state_space_size()
+    assert 0 < cache.codec.size <= declared, (cache.codec.size, declared)
 
 
 def _epidemic_law(family, n):

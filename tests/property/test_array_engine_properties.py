@@ -7,9 +7,9 @@ engine cache has already tabulated.  Hypothesis draws random
 protocol/population/seed matrices (duplicate seeds included: the same
 stream must produce the same trajectory twice), budgets that cut runs
 off mid-flight or let seeds converge at staggered times, and protocols
-spanning every engine mode — dense complete tables (epidemic, Cai at
-small ``n``), lazy tabulation (StableRanking, Burman) and the *mid-run*
-demotion of a run that starts consuming randomness at a state threshold
+spanning every engine mode — lazy tabulation over small spaces (epidemic,
+Cai) and large ones (StableRanking, Burman) and the *mid-run* demotion of
+a run that starts consuming randomness at a state threshold
 (:class:`LateRandomProtocol`).
 
 Budgets stay small: the properties are about tabulation, cache sharing

@@ -5,7 +5,7 @@ tables are computed, never *what* trajectories an engine produces.  This
 suite states that as a property over protocols × seeds for each backend
 family that persists through the store:
 
-* ``array`` (serial, lazy and dense modes): a fresh cache pointed at a
+* ``array`` (serial, lazy mode): a fresh cache pointed at a
   populated store replays bit-identically to a plain cold cache, and a
   seed group sharing one warm cache matches the cold group and the
   reference seed by seed;
@@ -29,7 +29,7 @@ from repro.core.table_store import TableStore
 from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
 from repro.protocols.ranking.stable_ranking import StableRanking
 
-#: Lazy-mode (StableRanking, Burman) and dense-mode (epidemic) coverage.
+#: Large (StableRanking, Burman) and small (epidemic) state spaces.
 PROTOCOLS = [StableRanking, OneWayEpidemicProtocol, BurmanStyleRanking]
 
 protocol_indices = st.integers(min_value=0, max_value=len(PROTOCOLS) - 1)
