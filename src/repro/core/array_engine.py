@@ -108,7 +108,7 @@ from .probe_table import ProbeClassTable
 from .protocol import PopulationProtocol
 from .rng import RandomState
 from .scheduler import UniformPairScheduler
-from .simulation import SimulationResult, Simulator, segmented_run
+from .simulation import SimulationResult, Simulator, apply_pairs, segmented_run
 from .soa import ColumnStore, VectorizedKernel
 
 __all__ = ["ArraySimulator", "EngineCache", "make_simulator", "ENGINE_NAMES"]
@@ -657,7 +657,9 @@ class ArraySimulator:
         self._kernel = _LazyKernel(self._protocol, codec, cache)
         return "lazy"
 
-    def _demote_to_object(self, remaining_pairs=None) -> None:
+    def _demote_to_object(
+        self, initiators: List[int], responders: List[int]
+    ) -> None:
         """Switch to the object path mid-run (transition consumed randomness).
 
         Already-retired no-ops changed nothing and the walk executes in
@@ -670,8 +672,7 @@ class ArraySimulator:
         self._soa = None
         self._soa_columns = None
         self._cache.mode = "object"
-        if remaining_pairs:
-            self._apply_pairs_object(remaining_pairs)
+        self._apply_pairs_object(initiators, responders)
 
     # ------------------------------------------------------------------
     # Perturbation events
@@ -896,40 +897,30 @@ class ArraySimulator:
         if self._pair_cursor < len(self._pair_buffer):
             leftover = self._pair_buffer[self._pair_cursor:self._pair_cursor + count]
             self._pair_cursor += len(leftover)
-            self._apply_pairs_object(leftover.tolist())
+            self._apply_pairs_object(
+                leftover[:, 0].tolist(), leftover[:, 1].tolist()
+            )
             count -= len(leftover)
-            if count <= 0:
-                return
-        protocol = self._protocol
-        states = self._configuration.states
-        scheduler = self._scheduler
-        rng = scheduler.rng
-        sample = scheduler.sample
-        for _ in range(count):
-            i, j = sample()
-            result = protocol.transition(states[i], states[j], rng)
-            self._interactions += 1
-            if result.rank_assigned is not None:
-                self._rank_assignments += 1
-            if result.reset_triggered:
-                self._resets += 1
-            if result.changed:
-                self._changed_since_check = True
+        take = self._scheduler.take
+        while count > 0:
+            initiators, responders = take(count)
+            self._apply_pairs_object(initiators, responders)
+            count -= len(initiators)
 
-    def _apply_pairs_object(self, pairs) -> None:
-        """Object-path execution of explicit pairs (mid-chunk demotion)."""
-        protocol = self._protocol
-        states = self._configuration.states
-        rng = self._scheduler.rng
-        for i, j in pairs:
-            result = protocol.transition(states[i], states[j], rng)
-            self._interactions += 1
-            if result.rank_assigned is not None:
-                self._rank_assignments += 1
-            if result.reset_triggered:
-                self._resets += 1
-            if result.changed:
-                self._changed_since_check = True
+    def _apply_pairs_object(
+        self, initiators: List[int], responders: List[int]
+    ) -> None:
+        """Object-path execution of explicit pairs, through the reference
+        engine's stepping loop."""
+        ranks, resets, changed = apply_pairs(
+            self._protocol.transition, self._configuration.states,
+            self._scheduler.rng, initiators, responders,
+        )
+        self._interactions += len(initiators)
+        self._rank_assignments += ranks
+        self._resets += resets
+        if changed:
+            self._changed_since_check = True
 
     def _process_chunk(self, pairs: np.ndarray) -> int:
         """Execute a prefix of a chunk exactly, preferring the SoA kernel;
@@ -1194,9 +1185,7 @@ class ArraySimulator:
         if demote_positions is not None:
             remaining_np = np.asarray(demote_positions, dtype=np.int64)
             self._demote_to_object(
-                np.stack(
-                    [agents_i[remaining_np], agents_r[remaining_np]], axis=1
-                ).tolist()
+                agents_i[remaining_np].tolist(), agents_r[remaining_np].tolist()
             )
             return
 
@@ -1254,9 +1243,7 @@ class ArraySimulator:
         if changed:
             self._changed_since_check = True
         if demote_from is not None:
-            self._demote_to_object(
-                list(zip(ai[demote_from:], ar[demote_from:]))
-            )
+            self._demote_to_object(ai[demote_from:], ar[demote_from:])
 
     def _walk_while_tabulated(self, ai: List[int], ar: List[int]) -> int:
         """Walk pairs in order while the pair cache already holds them.
@@ -1460,17 +1447,7 @@ class ArraySimulator:
                 )
 
         converged = self._check_converged()
-        self._record_final_snapshot()
-        self._sync_configuration()
-        result = SimulationResult(
-            converged=converged,
-            interactions=self._interactions,
-            configuration=self._configuration,
-            metrics=self._metrics.series if self._metrics is not None else {},
-            rank_assignments=self._rank_assignments,
-            resets=self._resets,
-            protocol=self._protocol.describe(),
-        )
+        result = self._finish(converged)
         if raise_on_limit and not converged:
             raise SimulationLimitExceeded(
                 f"{self._protocol.name} did not converge within "
@@ -1493,10 +1470,15 @@ class ArraySimulator:
         while not satisfied and self._interactions < budget_end:
             self._advance(min(check_interval, budget_end - self._interactions))
             satisfied = predicate(self._view_configuration())
-        self._record_final_snapshot()
+        return self._finish(satisfied)
+
+    def _finish(self, converged: bool) -> SimulationResult:
+        """Close the metric series and report the run's outcome."""
+        if self._metrics is not None:
+            self._metrics.close(self._interactions, self._view_configuration())
         self._sync_configuration()
         return SimulationResult(
-            converged=satisfied,
+            converged=converged,
             interactions=self._interactions,
             configuration=self._configuration,
             metrics=self._metrics.series if self._metrics is not None else {},
@@ -1504,16 +1486,6 @@ class ArraySimulator:
             resets=self._resets,
             protocol=self._protocol.describe(),
         )
-
-    def _record_final_snapshot(self) -> None:
-        """Close metric series at the final interaction (like the reference)."""
-        if self._metrics is None:
-            return
-        for series in self._metrics.series.values():
-            if series.interactions and series.interactions[-1] == self._interactions:
-                return
-            break
-        self._metrics.record(self._interactions, self._view_configuration())
 
 
 def make_simulator(

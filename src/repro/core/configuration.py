@@ -88,7 +88,8 @@ class Configuration(Generic[S]):
 
     def ranked_count(self) -> int:
         """Number of agents currently holding a rank."""
-        return sum(1 for rank in self.ranks() if rank is not None)
+        ranks = self.ranks()
+        return len(ranks) - ranks.count(None)
 
     def unranked_count(self) -> int:
         """Number of agents without a rank."""
@@ -96,7 +97,10 @@ class Configuration(Generic[S]):
 
     def duplicate_ranks(self) -> List[int]:
         """Return the ranks held by more than one agent (sorted)."""
-        counts = Counter(self.assigned_ranks())
+        assigned = self.assigned_ranks()
+        if len(set(assigned)) == len(assigned):
+            return []
+        counts = Counter(assigned)
         return sorted(rank for rank, count in counts.items() if count > 1)
 
     def is_valid_ranking(self) -> bool:

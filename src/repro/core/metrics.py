@@ -119,6 +119,13 @@ class MetricsCollector:
         self.record(interaction, configuration)
         return True
 
+    def close(self, interaction: int, configuration: Configuration) -> None:
+        """Record a closing snapshot unless one was taken at ``interaction``,
+        so series always end at the final state of a run."""
+        first = next(iter(self._series.values()), None)
+        if first is None or first.interactions[-1:] != [interaction]:
+            self.record(interaction, configuration)
+
     def get(self, name: str) -> TimeSeries:
         """Return the series recorded under ``name``."""
         return self._series[name]

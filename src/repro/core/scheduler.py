@@ -9,8 +9,9 @@ amortize the random-number generation cost over many interactions.
 
 :class:`PairScheduler` is the seam other schedulers plug into: it owns the
 buffered one-at-a-time API (``sample`` / ``pairs``) and defines the single
-abstract primitive ``sample_chunk``.  ``sample()`` refills its buffer through
-``sample_chunk(chunk_size)``, so any subclass automatically satisfies the
+abstract primitive ``sample_chunk``.  ``sample()`` and the bulk ``take()``
+refill one buffer through ``sample_chunk(chunk_size)``, so any subclass
+automatically satisfies the
 determinism contract the engines rely on — the reference simulator (buffered
 singles) and the array engines (whole chunks) issue *identical* generator
 calls and therefore see the same pair stream on the same seed.  The
@@ -20,7 +21,7 @@ subclasses this seam.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -36,10 +37,12 @@ class PairScheduler:
     Subclasses implement :meth:`sample_chunk`; the buffered single-pair API
     is provided here and is *defined* as draining chunks of ``chunk_size``
     pairs.  That definition is the bit-identity contract between engines:
-    consuming the stream pair-by-pair via :meth:`sample` advances the
-    underlying generator exactly as consuming it chunk-by-chunk via
-    :meth:`sample_chunk` does (provided both sides use the same
-    ``chunk_size``).
+    consuming the stream pair-by-pair via :meth:`sample` (or in runs via
+    :meth:`take`) advances the underlying generator exactly as consuming
+    it chunk-by-chunk via :meth:`sample_chunk` does (provided both sides
+    use the same ``chunk_size``).  The buffer holds each refilled chunk as
+    two Python lists, converted once, so the per-pair reads are plain
+    list indexing.
     """
 
     def __init__(
@@ -55,7 +58,8 @@ class PairScheduler:
         self._n = n
         self._rng = make_rng(random_state)
         self._chunk_size = chunk_size
-        self._buffer: np.ndarray = np.empty((0, 2), dtype=np.int64)
+        self._initiators: List[int] = []
+        self._responders: List[int] = []
         self._cursor = 0
 
     @property
@@ -86,16 +90,35 @@ class PairScheduler:
 
     def _refill(self) -> None:
         """Refill the internal buffer with a fresh chunk of ordered pairs."""
-        self._buffer = self.sample_chunk(self._chunk_size)
+        chunk = self.sample_chunk(self._chunk_size)
+        self._initiators = chunk[:, 0].tolist()
+        self._responders = chunk[:, 1].tolist()
         self._cursor = 0
 
     def sample(self) -> Tuple[int, int]:
         """Return the next ordered pair ``(initiator, responder)``."""
-        if self._cursor >= len(self._buffer):
+        cursor = self._cursor
+        if cursor >= len(self._initiators):
             self._refill()
-        pair = self._buffer[self._cursor]
-        self._cursor += 1
-        return int(pair[0]), int(pair[1])
+            cursor = 0
+        self._cursor = cursor + 1
+        return self._initiators[cursor], self._responders[cursor]
+
+    def take(self, count: int) -> Tuple[List[int], List[int]]:
+        """The next pairs as ``(initiators, responders)`` lists.
+
+        Returns ``min(count, pairs left in the buffer)`` pairs, refilling
+        the buffer first if it is empty, so a call never crosses a refill
+        and never holds more than one chunk.  Callers loop until they have
+        the pairs they need; the stream is the one :meth:`sample` reads.
+        """
+        cursor = self._cursor
+        if cursor >= len(self._initiators):
+            self._refill()
+            cursor = 0
+        stop = min(cursor + count, len(self._initiators))
+        self._cursor = stop
+        return self._initiators[cursor:stop], self._responders[cursor:stop]
 
     def pairs(self) -> Iterator[Tuple[int, int]]:
         """Infinite iterator over ordered pairs."""

@@ -9,14 +9,17 @@ The simulator is the ground truth against which the faster engines
 (:mod:`repro.core.aggregate`, the array-based engines in
 :mod:`repro.protocols.ranking`) are validated.  It favours clarity over raw
 speed, but still amortizes pair sampling through the scheduler's chunked
-sampling and checks convergence only periodically (convergence checks are
-``O(n)``; checking after every interaction would dominate the runtime).
+sampling, steps in blocks through :func:`apply_pairs` (the one
+agent-level stepping loop, shared with the array engine's object path) and
+checks convergence only periodically (convergence checks are ``O(n)``;
+checking after every interaction would dominate the runtime).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from itertools import count
+from typing import Callable, Dict, Optional, Tuple
 
 from .configuration import Configuration
 from .errors import SimulationLimitExceeded, check_budget
@@ -25,7 +28,33 @@ from .protocol import PopulationProtocol, TransitionResult
 from .rng import RandomState
 from .scheduler import UniformPairScheduler
 
-__all__ = ["Simulator", "SimulationResult", "segmented_run"]
+__all__ = ["Simulator", "SimulationResult", "apply_pairs", "segmented_run"]
+
+
+def apply_pairs(
+    transition, states, rng, initiators, responders, position=0, on_event=None
+) -> Tuple[int, int, bool]:
+    """The agent-level stepping loop: apply ``zip(initiators, responders)``
+    in order to the live ``states`` through the protocol's ``transition``.
+
+    Pair ``k`` is interaction ``position + k + 1``; ``on_event`` gets
+    ``(interaction, initiator, responder, result)`` for each transition
+    that reported a change.  Returns how many transitions assigned a rank,
+    how many triggered a reset, and whether any reported a change.
+    """
+    rank_assignments = resets = 0
+    changed = False
+    for interaction, i, j in zip(count(position + 1), initiators, responders):
+        result = transition(states[i], states[j], rng)
+        if result.rank_assigned is not None:
+            rank_assignments += 1
+        if result.reset_triggered:
+            resets += 1
+        if result.changed:
+            changed = True
+            if on_event is not None:
+                on_event(interaction, i, j, result)
+    return rank_assignments, resets, changed
 
 
 def segmented_run(
@@ -281,6 +310,39 @@ class Simulator:
             self._on_event(self._interactions, initiator_index, responder_index, result)
         return result
 
+    def _advance_to(self, target: int) -> bool:
+        """Step to interaction ``target`` exactly as :meth:`step` plus a
+        per-step ``maybe_record`` would; return whether any transition
+        reported a change.
+
+        Blocks end at ``target``, at each metric snapshot falling due and
+        at the end of the scheduler's buffer.  A one-pair block (a check
+        cadence of 1, say) is a plain :meth:`step`, which costs less than
+        setting up a block.
+        """
+        metrics = self._metrics
+        changed = False
+        while self._interactions < target:
+            block = target - self._interactions
+            if metrics is not None:
+                block = min(block, max(metrics.next_due - self._interactions, 1))
+            if block == 1:
+                changed = self.step().changed or changed
+            else:
+                initiators, responders = self._scheduler.take(block)
+                ranks, resets, moved = apply_pairs(
+                    self._protocol.transition, self._configuration.states,
+                    self._scheduler.rng, initiators, responders,
+                    self._interactions, self._on_event,
+                )
+                self._interactions += len(initiators)
+                self._rank_assignments += ranks
+                self._resets += resets
+                changed = changed or moved
+            if metrics is not None:
+                metrics.maybe_record(self._interactions, self._configuration)
+        return changed
+
     def run(
         self,
         max_interactions: int,
@@ -302,9 +364,8 @@ class Simulator:
         """
         max_interactions = check_budget(max_interactions)
 
-        metrics = self._metrics
-        if metrics is not None and self._interactions == 0:
-            metrics.record(0, self._configuration)
+        if self._metrics is not None and self._interactions == 0:
+            self._metrics.record(0, self._configuration)
 
         budget_end = self._interactions + max_interactions
         if stop_on_convergence:
@@ -318,41 +379,19 @@ class Simulator:
 
         # ``changed_since_check`` lets the loop skip the O(n) convergence
         # re-evaluation when no transition reported a change since the last
-        # check — the predicate's value cannot have moved.  The metrics
-        # branch is hoisted out of the loop: collectors are rare and the
-        # per-step ``is not None`` test is measurable at this call volume.
+        # check — the predicate's value cannot have moved.
         changed_since_check = True
-        if metrics is None:
-            while self._interactions < budget_end and not (converged and stop_on_convergence):
-                if self.step().changed:
-                    changed_since_check = True
-                if self._interactions >= next_check:
-                    if changed_since_check:
-                        converged = self._protocol.has_converged(self._configuration)
-                        changed_since_check = False
-                    next_check = self._interactions + self._convergence_interval
-        else:
-            while self._interactions < budget_end and not (converged and stop_on_convergence):
-                if self.step().changed:
-                    changed_since_check = True
-                metrics.maybe_record(self._interactions, self._configuration)
-                if self._interactions >= next_check:
-                    if changed_since_check:
-                        converged = self._protocol.has_converged(self._configuration)
-                        changed_since_check = False
-                    next_check = self._interactions + self._convergence_interval
+        while self._interactions < budget_end and not converged:
+            if self._advance_to(min(budget_end, next_check)):
+                changed_since_check = True
+            if self._interactions >= next_check:
+                if changed_since_check:
+                    converged = self._protocol.has_converged(self._configuration)
+                    changed_since_check = False
+                next_check = self._interactions + self._convergence_interval
 
         converged = self._protocol.has_converged(self._configuration)
-        self._record_final_snapshot()
-        result = SimulationResult(
-            converged=converged,
-            interactions=self._interactions,
-            configuration=self._configuration,
-            metrics=self._metrics.series if self._metrics is not None else {},
-            rank_assignments=self._rank_assignments,
-            resets=self._resets,
-            protocol=self._protocol.describe(),
-        )
+        result = self._finish(converged)
         if raise_on_limit and not converged:
             raise SimulationLimitExceeded(
                 f"{self._protocol.name} did not converge within "
@@ -360,16 +399,6 @@ class Simulator:
                 result=result,
             )
         return result
-
-    def _record_final_snapshot(self) -> None:
-        """Record a closing metrics snapshot so series always end at the final state."""
-        if self._metrics is None:
-            return
-        for series in self._metrics.series.values():
-            if series.interactions and series.interactions[-1] == self._interactions:
-                return
-            break
-        self._metrics.record(self._interactions, self._configuration)
 
     # ------------------------------------------------------------------
     # Perturbation events
@@ -416,20 +445,17 @@ class Simulator:
             check_interval = max(1, self._protocol.n // 4)
         budget_end = self._interactions + check_budget(max_interactions)
         satisfied = predicate(self._configuration)
-        metrics = self._metrics
         while not satisfied and self._interactions < budget_end:
-            target = min(self._interactions + check_interval, budget_end)
-            if metrics is None:
-                while self._interactions < target:
-                    self.step()
-            else:
-                while self._interactions < target:
-                    self.step()
-                    metrics.maybe_record(self._interactions, self._configuration)
+            self._advance_to(min(self._interactions + check_interval, budget_end))
             satisfied = predicate(self._configuration)
-        self._record_final_snapshot()
+        return self._finish(satisfied)
+
+    def _finish(self, converged: bool) -> SimulationResult:
+        """Close the metric series and report the run's outcome."""
+        if self._metrics is not None:
+            self._metrics.close(self._interactions, self._configuration)
         return SimulationResult(
-            converged=satisfied,
+            converged=converged,
             interactions=self._interactions,
             configuration=self._configuration,
             metrics=self._metrics.series if self._metrics is not None else {},

@@ -48,6 +48,7 @@ import os
 import shutil
 import uuid
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,6 +62,7 @@ __all__ = [
     "TableStoreEntry",
     "TableStoreError",
     "consume_session_stats",
+    "exported_store_dir",
     "record_loaded_pairs",
     "resolve_store_dir",
     "session_stats",
@@ -122,6 +124,24 @@ def resolve_store_dir() -> Optional[Path]:
     """The store root named by :data:`ENV_VAR`, or ``None``."""
     value = os.environ.get(ENV_VAR, "").strip()
     return Path(value) if value else None
+
+
+@contextmanager
+def exported_store_dir(directory):
+    """Name ``directory`` in :data:`ENV_VAR` for the ``with`` body only.
+
+    A root the caller already exported wins and is left alone; otherwise
+    the variable is removed again on exit, so later work in the process
+    does not spill into ``directory``.
+    """
+    exported = ENV_VAR not in os.environ
+    if exported:
+        os.environ[ENV_VAR] = str(directory)
+    try:
+        yield
+    finally:
+        if exported:
+            os.environ.pop(ENV_VAR, None)
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,7 @@ __all__ = [
     "JsonlTail",
     "ResultStore",
     "append_jsonl_line",
+    "append_jsonl_lines",
     "read_jsonl",
     "repair_torn_tail",
 ]
@@ -137,14 +138,28 @@ def append_jsonl_line(path, payload: dict, fsync: bool = False) -> None:
     durable before the call returns — the serving workers use this so a
     released lease implies persisted rows.
     """
+    append_jsonl_lines(path, [payload], fsync=fsync)
+
+
+def append_jsonl_lines(path, payloads: List[dict], fsync: bool = False) -> None:
+    """Atomically append a batch of JSON records to ``path``.
+
+    :func:`append_jsonl_line` for many records at the cost of one: every
+    record is encoded up front and the batch lands under one lock, after
+    one inode check and one torn-tail repair, in one ``write`` (and one
+    ``fsync`` with ``fsync=True``).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    data = b"".join(
+        (json.dumps(payload, sort_keys=True) + "\n").encode()
+        for payload in payloads
+    )
     while True:
         with path.open("ab") as handle:
             with _locked(handle):
                 # Compaction may unlink the path between our open and the
-                # lock; writing to the unlinked inode would lose the row.
+                # lock; writing to the unlinked inode would lose the rows.
                 try:
                     if os.fstat(handle.fileno()).st_ino != os.stat(path).st_ino:
                         continue
@@ -404,7 +419,8 @@ class ResultStore:
         The pass is append-only on ``rows.jsonl`` (never rewritten, so
         concurrent readers and the canonical single writer stay safe):
         every shard row whose cell key is not already canonical is
-        appended, then the shard file is removed under its append lock —
+        appended (one batched write per shard), then the shard file is
+        removed under its append lock —
         a worker racing one last append either lands it before the shard
         is read (merged now) or recreates the shard afterwards (merged by
         the next pass).  Crashing between merge and delete leaves
@@ -426,18 +442,20 @@ class ResultStore:
                 continue  # pragma: no cover - raced by another compactor
             with handle:
                 with _locked(handle):
+                    batch = []
                     for row in read_jsonl(shard):
                         key = (
                             row["variant"], int(row["n"]),
                             int(row["seed_index"]),
                         )
-                        if key in known:
-                            continue
-                        append_jsonl_line(
-                            self._rows_path, row, fsync=self._fsync
+                        if key not in known:
+                            known.add(key)
+                            batch.append(row)
+                    if batch:
+                        append_jsonl_lines(
+                            self._rows_path, batch, fsync=self._fsync
                         )
-                        known.add(key)
-                        merged += 1
+                        merged += len(batch)
                     try:
                         shard.unlink()
                     except OSError:  # pragma: no cover - raced delete

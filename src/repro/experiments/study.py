@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -57,8 +57,7 @@ from ..core.array_engine import EngineCache
 from ..core.errors import ExperimentError
 from ..core.metrics import MetricsCollector, standard_ranking_probes
 from ..core.rng import cell_seed_sequences
-from ..core.table_store import ENV_VAR as _TABLE_CACHE_ENV
-from ..core.table_store import resolve_store_dir
+from ..core.table_store import exported_store_dir, resolve_store_dir
 from ..protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
 from ..protocols.ranking.aggregate_space_efficient import (
     AggregateSpaceEfficientRanking,
@@ -1311,18 +1310,11 @@ class Study:
         # (unless the caller already pinned one): pool workers, forked or
         # spawned, inherit the environment, so every process — and every
         # later run over the same store — shares one persistent tabulation.
-        exported = (
-            _TABLE_CACHE_ENV not in os.environ and self._store is not None
-        )
-        if exported:
-            os.environ[_TABLE_CACHE_ENV] = str(
-                self._store.directory / "tables"
-            )
-        try:
+        with (
+            nullcontext() if self._store is None
+            else exported_store_dir(self._store.directory / "tables")
+        ):
             computed = run_units(pending, jobs=self._jobs, callback=on_row)
-        finally:
-            if exported:
-                del os.environ[_TABLE_CACHE_ENV]
         for row in computed:
             known[(row["variant"], int(row["n"]), int(row["seed_index"]))] = row
 

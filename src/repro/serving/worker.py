@@ -23,7 +23,6 @@ job is ``failed`` and no worker claims it again.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from ..core.errors import ExperimentError
-from ..core.table_store import ENV_VAR as _TABLE_CACHE_ENV
+from ..core.table_store import exported_store_dir
 from ..experiments.parallel import execute_unit
 from .ledger import StudyLedger
 from .store import ShardedResultStore
@@ -112,12 +111,6 @@ def run_worker(
     """
     if not Path(study_dir).is_dir():
         raise ExperimentError(f"no study directory at {study_dir}")
-    # Every worker of one study shares the study's table directory as its
-    # persistent tabulation store (first contact tabulates, everyone else
-    # mmaps), unless the operator pinned REPRO_TABLE_CACHE elsewhere.
-    os.environ.setdefault(
-        _TABLE_CACHE_ENV, str(Path(study_dir) / "tables")
-    )
     store = ShardedResultStore.open(
         study_dir, worker_id=worker_id, fsync=fsync
     )
@@ -125,7 +118,13 @@ def run_worker(
     queue = ledger.queue
     say = progress if progress is not None else (lambda line: None)
     completed_jobs = 0
-    with _Heartbeat(interval=lease_timeout / 4.0) as heartbeat:
+    # Every worker of one study shares the study's table directory as its
+    # persistent tabulation store (first contact tabulates, everyone else
+    # mmaps) for the drain, unless the operator pinned REPRO_TABLE_CACHE
+    # elsewhere.
+    with exported_store_dir(store.directory / "tables"), _Heartbeat(
+        interval=lease_timeout / 4.0
+    ) as heartbeat:
         while max_jobs is None or completed_jobs < max_jobs:
             candidates = ledger.pending()
             if not candidates:

@@ -111,3 +111,35 @@ class TestCopyAndSummary:
     def test_count_where(self):
         config = ranking(5, missing=2)
         assert config.count_where(lambda s: s.phase is not None) == 1
+
+
+# ----------------------------------------------------------------------
+# Ranking probes against their defining formulas
+# ----------------------------------------------------------------------
+from collections import Counter  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+#: Random rank vectors: unranked agents (``None``) and ranks drawn from a
+#: small range, so duplicates are common.
+RANK_VECTORS = st.lists(
+    st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    min_size=1, max_size=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RANK_VECTORS)
+def test_ranked_count_and_duplicates_match_their_definitions(ranks):
+    config = Configuration(
+        [AgentState() if rank is None else AgentState(rank=rank) for rank in ranks]
+    )
+    assigned = [rank for rank in ranks if rank is not None]
+    assert config.ranked_count() == sum(1 for rank in ranks if rank is not None)
+    assert config.duplicate_ranks() == sorted(
+        rank for rank, count in Counter(assigned).items() if count > 1
+    )
+    assert config.unranked_count() == len(ranks) - len(assigned)
+    # The Figure 2 probes turn both into floats; those must not move.
+    assert float(config.ranked_count()) == float(len(assigned))

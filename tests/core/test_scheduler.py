@@ -100,6 +100,44 @@ class TestSampleChunkEdgeCases:
         assert [tuple(pair) for pair in chunk.tolist()] == singles
 
 
+class TestBulkTake:
+    """``take`` reads the stream ``sample`` and ``sample_chunk`` define."""
+
+    def test_take_matches_sample_chunk_across_chunk_boundaries(self):
+        chunked = UniformPairScheduler(9, random_state=21, chunk_size=64)
+        taker = UniformPairScheduler(9, random_state=21, chunk_size=64)
+        expected = np.concatenate([chunked.sample_chunk(64) for _ in range(5)])
+        initiators, responders = [], []
+        for count in (10, 54, 1, 100, 63, 80, 500, 500):
+            got_i, got_r = taker.take(count)
+            # A call stops at the end of the buffer, never past it.
+            assert 1 <= len(got_i) == len(got_r) <= count
+            assert all(type(value) is int for value in got_i + got_r)
+            initiators += got_i
+            responders += got_r
+        assert len(initiators) == 5 * 64
+        assert initiators == expected[:, 0].tolist()
+        assert responders == expected[:, 1].tolist()
+        assert (
+            taker.rng.bit_generator.state == chunked.rng.bit_generator.state
+        )
+
+    def test_take_stops_at_the_buffer_end(self):
+        scheduler = UniformPairScheduler(5, random_state=2, chunk_size=16)
+        scheduler.take(10)
+        assert len(scheduler.take(100)[0]) == 6
+        assert len(scheduler.take(100)[0]) == 16
+
+    def test_take_and_sample_interleave_on_one_stream(self):
+        mixed = UniformPairScheduler(6, random_state=8, chunk_size=32)
+        singles = UniformPairScheduler(6, random_state=8, chunk_size=32)
+        pairs = []
+        while len(pairs) < 200:
+            pairs.append(mixed.sample())
+            pairs.extend(zip(*mixed.take(7)))
+        assert pairs == [singles.sample() for _ in range(len(pairs))]
+
+
 class TestSchedulerUniformity:
     def test_marginals_are_roughly_uniform(self):
         """Each ordered pair should appear with probability ~1/(n(n-1))."""

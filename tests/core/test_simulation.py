@@ -137,3 +137,166 @@ class TestSimulatorHooks:
         assert result.interactions == 2_000
         assert result.converged
         assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# The block-stepping loop against the per-step definition
+# ----------------------------------------------------------------------
+from repro.core.metrics import standard_ranking_probes  # noqa: E402
+from repro.protocols.ranking.space_efficient import SpaceEfficientRanking  # noqa: E402
+from repro.protocols.ranking.stable_ranking import StableRanking  # noqa: E402
+from repro.topologies import build_topology  # noqa: E402
+
+#: (protocol factory, topology spec) pairs the equivalence tests cover:
+#: StableRanking on the complete graph, a ring and the async ``delayed``
+#: wrapper, and SpaceEfficientRanking, whose transitions draw randomness.
+STEPPING_CASES = {
+    "stable-complete": (StableRanking, None),
+    "stable-ring": (StableRanking, ("ring", {})),
+    "stable-delayed": (StableRanking, ("delayed", {"base": "ring"})),
+    "space-efficient": (SpaceEfficientRanking, None),
+}
+
+
+def _stepping_pair(case, n=8, seed=11, interval=37, cadence=None):
+    """Two same-seed simulators with collectors and event logs."""
+    factory, topology = STEPPING_CASES[case]
+    built = []
+    for _ in range(2):
+        events = []
+        metrics = MetricsCollector(standard_ranking_probes(), interval=interval)
+        simulator = Simulator(
+            factory(n),
+            random_state=seed,
+            metrics=metrics,
+            convergence_interval=cadence,
+            on_event=lambda t, i, j, r, log=events: log.append(
+                (t, i, j, r.changed, r.rank_assigned, r.reset_triggered)
+            ),
+            topology=None if topology is None else build_topology(
+                topology[0], n, topology[1]
+            ),
+        )
+        built.append((simulator, metrics, events))
+    return built
+
+
+def _manual_run(simulator, metrics, budget, stop_on_convergence, interval=None):
+    """``Simulator.run`` written as its definition: ``step()``, then
+    ``maybe_record``, then the cadence check, once per interaction."""
+    protocol, config = simulator.protocol, simulator.configuration
+    if simulator.interactions == 0:
+        metrics.record(0, config)
+    end = simulator.interactions + budget
+    interval = interval or protocol.n
+    converged = stop_on_convergence and protocol.has_converged(config)
+    next_check = simulator.interactions + interval if stop_on_convergence else end + 1
+    changed = True
+    while simulator.interactions < end and not converged:
+        if simulator.step().changed:
+            changed = True
+        metrics.maybe_record(simulator.interactions, config)
+        if simulator.interactions >= next_check:
+            if changed:
+                converged = protocol.has_converged(config)
+                changed = False
+            next_check = simulator.interactions + interval
+    metrics.close(simulator.interactions, config)
+    return protocol.has_converged(config)
+
+
+def _manual_run_until(simulator, metrics, predicate, budget, check_interval):
+    config = simulator.configuration
+    end = simulator.interactions + budget
+    satisfied = predicate(config)
+    while not satisfied and simulator.interactions < end:
+        target = min(simulator.interactions + check_interval, end)
+        while simulator.interactions < target:
+            simulator.step()
+            metrics.maybe_record(simulator.interactions, config)
+        satisfied = predicate(config)
+    metrics.close(simulator.interactions, config)
+    return satisfied
+
+
+def _observed(simulator, metrics, events):
+    return (
+        simulator.interactions,
+        list(simulator.configuration.states),
+        {name: (s.interactions, s.values) for name, s in metrics.series.items()},
+        events,
+        simulator.rng.bit_generator.state,
+    )
+
+
+class TestBlockSteppingLoop:
+    @pytest.mark.parametrize("case", sorted(STEPPING_CASES))
+    def test_two_runs_equal_the_per_step_loop(self, case):
+        (fast, fast_metrics, fast_events), (slow, slow_metrics, slow_events) = (
+            _stepping_pair(case)
+        )
+        # 5,000 pairs cross the 4,096-pair refill; the second call starts
+        # mid-buffer and between two snapshots, and stops on convergence.
+        for budget, stop in ((5_000, False), (3_000, True)):
+            result = fast.run(budget, stop_on_convergence=stop)
+            converged = _manual_run(slow, slow_metrics, budget, stop)
+            assert result.converged == converged
+            assert result.interactions == slow.interactions
+            assert result.rank_assignments == slow._rank_assignments
+            assert result.resets == slow._resets
+            assert _observed(fast, fast_metrics, fast_events) == _observed(
+                slow, slow_metrics, slow_events
+            )
+        assert fast_events  # the event log is exercised, not vacuous
+
+    @pytest.mark.parametrize("case", sorted(STEPPING_CASES))
+    def test_run_until_equals_the_per_step_loop(self, case):
+        (fast, fast_metrics, fast_events), (slow, slow_metrics, slow_events) = (
+            _stepping_pair(case)
+        )
+        half = lambda config: config.ranked_count() >= 4  # noqa: E731
+        fast.run(100, stop_on_convergence=False)
+        _manual_run(slow, slow_metrics, 100, False)
+        result = fast.run_until(half, 6_000, check_interval=13)
+        satisfied = _manual_run_until(slow, slow_metrics, half, 6_000, 13)
+        assert result.converged == satisfied
+        assert (result.rank_assignments, result.resets) == (
+            slow._rank_assignments, slow._resets
+        )
+        assert _observed(fast, fast_metrics, fast_events) == _observed(
+            slow, slow_metrics, slow_events
+        )
+
+    @pytest.mark.parametrize("case", ["stable-complete", "space-efficient"])
+    def test_cadence_one_equals_the_per_step_loop(self, case):
+        # Checks at every interaction make every block one pair long.
+        (fast, fast_metrics, fast_events), (slow, slow_metrics, slow_events) = (
+            _stepping_pair(case, interval=5, cadence=1)
+        )
+        result = fast.run(4_000)
+        converged = _manual_run(slow, slow_metrics, 4_000, True, interval=1)
+        assert (result.converged, result.resets) == (converged, slow._resets)
+        assert result.rank_assignments == slow._rank_assignments
+        assert _observed(fast, fast_metrics, fast_events) == _observed(
+            slow, slow_metrics, slow_events
+        )
+
+    def test_overdue_snapshot_is_taken_after_the_next_interaction(self):
+        # A collector attached mid-run is overdue at once; the per-step
+        # loop records it after the first interaction of the run.
+        (fast, _, _), (slow, _, _) = _stepping_pair("stable-complete")
+        fast.run(50, stop_on_convergence=False)
+        slow.run(50, stop_on_convergence=False)
+        for simulator in (fast, slow):
+            simulator._metrics = MetricsCollector(
+                standard_ranking_probes(), interval=7
+            )
+        fast.run(30, stop_on_convergence=False)
+        for _ in range(30):
+            slow.step()
+            slow._metrics.maybe_record(slow.interactions, slow.configuration)
+        slow._metrics.close(slow.interactions, slow.configuration)
+        assert fast._metrics.get("ranked_agents").interactions[:2] == [51, 58]
+        assert _observed(fast, fast._metrics, []) == _observed(
+            slow, slow._metrics, []
+        )

@@ -17,6 +17,7 @@ from repro.core.errors import ExperimentError
 from repro.experiments.store import (
     ResultStore,
     append_jsonl_line,
+    append_jsonl_lines,
     read_jsonl,
     repair_torn_tail,
 )
@@ -167,6 +168,55 @@ class TestCompaction:
         assert len(lines) == 2  # the duplicate collapsed
         assert canon.load() == before
         assert canon.compact() == 0  # idempotent
+
+    def test_overlapping_shards_merge_each_row_once(self, tmp_path, monkeypatch):
+        import repro.experiments.store as store_module
+
+        canon = ResultStore(tmp_path, "study", "feedc0ffee12")
+        canon.append(row(seed=0))
+        for worker, seeds in (("wa", (1, 2, 3, 0)), ("wb", (2, 3, 4, 4))):
+            shard = ShardedResultStore(tmp_path, "study", "feedc0ffee12",
+                                       worker_id=worker)
+            for seed in seeds:
+                shard.append(row(seed=seed))
+        before = canon.load()
+        batches = []
+        batched = store_module.append_jsonl_lines
+
+        def counting(path, payloads, fsync=False):
+            batches.append([payload["seed_index"] for payload in payloads])
+            batched(path, payloads, fsync=fsync)
+
+        monkeypatch.setattr(store_module, "append_jsonl_lines", counting)
+        assert canon.compact() == 4
+        # One batched write per shard, holding only its unmerged rows.
+        assert batches == [[1, 2, 3], [4]]
+        lines = canon.rows_path.read_text().splitlines()
+        assert [json.loads(line)["seed_index"] for line in lines] == [0, 1, 2, 3, 4]
+        assert canon.load() == before
+
+    def test_compact_repairs_a_torn_canon_tail_before_the_batch(self, tmp_path):
+        canon = ResultStore(tmp_path, "study", "feedc0ffee12")
+        canon.append(row(seed=0))
+        with canon.rows_path.open("a") as handle:
+            handle.write('{"variant": "v", "n": 8, "se')
+        shard = ShardedResultStore(tmp_path, "study", "feedc0ffee12",
+                                   worker_id="wa")
+        shard.append(row(seed=1))
+        shard.append(row(seed=2))
+        with pytest.warns(UserWarning, match="torn trailing record"):
+            assert canon.compact() == 2
+        parsed = [json.loads(line) for line in canon.rows_path.read_text().splitlines()]
+        assert [record["seed_index"] for record in parsed] == [0, 1, 2]
+
+    def test_batch_append_is_one_complete_run_of_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        append_jsonl_line(path, row(seed=0))
+        append_jsonl_lines(path, [row(seed=1), row(seed=2)], fsync=True)
+        text = path.read_text()
+        assert text.endswith("\n")
+        seeds = [json.loads(line)["seed_index"] for line in text.splitlines()]
+        assert seeds == [0, 1, 2]
 
     def test_compact_without_shards_is_a_noop(self, tmp_path):
         store = ResultStore(tmp_path, "study", "feedc0ffee12")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.table_store import ENV_VAR as TABLE_CACHE_ENV
 from repro.experiments.study import ExperimentSpec, Study, plan_units
 from repro.serving import JobQueue, ShardedResultStore, run_worker
 
@@ -145,6 +146,44 @@ class TestInProcessWorker:
                               tmp_path / "served")
         assert run_worker(store.directory, max_jobs=1) == 1
         assert len(queue.pending(store.load().keys())) == 2
+
+    def test_table_store_export_ends_with_the_drain(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(TABLE_CACHE_ENV, raising=False)
+        store, _ = submit(spec(n_values=(8,), seeds=2), tmp_path / "served")
+        during = []
+        run_worker(
+            store.directory, lease_timeout=5.0,
+            progress=lambda line: during.append(os.environ.get(TABLE_CACHE_ENV)),
+        )
+        # Jobs ran with the study's table directory exported...
+        assert str(store.directory / "tables") in during
+        # ...and later work in this process does not spill into it.
+        assert TABLE_CACHE_ENV not in os.environ
+
+    def test_pinned_table_store_is_kept(self, tmp_path, monkeypatch):
+        pinned = str(tmp_path / "pinned-tables")
+        monkeypatch.setenv(TABLE_CACHE_ENV, pinned)
+        store, _ = submit(spec(n_values=(8,), seeds=1), tmp_path / "served")
+        during = []
+        run_worker(
+            store.directory, lease_timeout=5.0,
+            progress=lambda line: during.append(os.environ.get(TABLE_CACHE_ENV)),
+        )
+        assert set(during) == {pinned}
+        assert os.environ[TABLE_CACHE_ENV] == pinned
+
+    def test_table_store_export_ends_when_the_drain_raises(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(TABLE_CACHE_ENV, raising=False)
+        store, _ = submit(spec(n_values=(8,), seeds=1), tmp_path / "served")
+
+        def interrupt(line):
+            raise RuntimeError("progress sink closed")
+
+        with pytest.raises(RuntimeError, match="sink closed"):
+            run_worker(store.directory, lease_timeout=5.0, progress=interrupt)
+        assert TABLE_CACHE_ENV not in os.environ
 
     def test_missing_study_directory_raises(self, tmp_path):
         from repro.core.errors import ExperimentError

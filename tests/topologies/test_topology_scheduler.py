@@ -51,6 +51,23 @@ def test_buffered_and_chunked_paths_read_the_same_stream(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_bulk_take_reads_the_chunked_stream(name):
+    n = 16
+    chunk = 64
+    taker = TopologyScheduler(
+        build_topology(name, n), np.random.default_rng(5), chunk_size=chunk
+    )
+    chunked = TopologyScheduler(
+        build_topology(name, n), np.random.default_rng(5), chunk_size=chunk
+    )
+    pairs = []
+    while len(pairs) < 3 * chunk:
+        pairs.extend(zip(*taker.take(45)))
+    chunks = np.concatenate([chunked.sample_chunk(chunk) for _ in range(3)])
+    assert pairs == [tuple(pair) for pair in chunks.tolist()]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_sampled_pairs_stay_on_the_edge_set(name):
     n = 12
     topology = build_topology(name, n)
