@@ -123,12 +123,10 @@ class BurmanStyleRanking(RankingProtocol[AgentState]):
         rng: np.random.Generator,
     ) -> TransitionResult:
         u, v = initiator, responder
-        changed = False
         rank_assigned = None
         triggers_before = self._reset.triggered_count
 
-        if self._reset.applies(u, v):
-            changed = self._reset.apply(u, v) or changed
+        changed = self._reset.apply(u, v)
 
         if u.leader_done is not None and v.leader_done is not None:
             changed = self._leader_election.apply(u, v, rng) or changed

@@ -55,8 +55,11 @@ class TransitionResult:
     label: Optional[str] = None
 
 
-#: Shared immutable instance for the overwhelmingly common no-op case.
+#: Shared instances for the overwhelmingly common outcomes that assign no
+#: rank and trigger no reset.  Callers read results and never assign to
+#: their fields, so one instance of each serves every interaction.
 NOOP = TransitionResult(changed=False)
+CHANGED = TransitionResult(changed=True)
 
 
 class PopulationProtocol(abc.ABC, Generic[S]):

@@ -152,7 +152,8 @@ def append_jsonl_lines(path, payloads: List[dict], fsync: bool = False) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = b"".join(
-        (json.dumps(payload, sort_keys=True) + "\n").encode()
+        payload.line if isinstance(payload, _EncodedRow)
+        else (json.dumps(payload, sort_keys=True) + "\n").encode()
         for payload in payloads
     )
     while True:
@@ -187,11 +188,17 @@ def read_jsonl(path, strict: bool = True) -> List[dict]:
     path = Path(path)
     if not path.exists():
         return []
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    rows: List[dict] = []
+    lines = path.read_text().splitlines()
+    return [row for _, row in _parse_lines(path, lines, strict)]
+
+
+def _parse_lines(path, lines, strict: bool = True):
+    """Yield ``(line, record)`` for the non-blank JSONL ``lines`` of
+    ``path`` with :func:`read_jsonl`'s torn-tail and corruption rules."""
+    lines = [line for line in lines if line.strip()]
     for index, line in enumerate(lines):
         try:
-            rows.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             if index == len(lines) - 1:
                 warnings.warn(
@@ -199,7 +206,7 @@ def read_jsonl(path, strict: bool = True) -> List[dict]:
                     f"was killed mid-append; the cell will re-run)",
                     stacklevel=2,
                 )
-                break
+                return
             message = (
                 f"corrupt row store {path} "
                 f"(malformed line {index + 1} of {len(lines)})"
@@ -207,7 +214,25 @@ def read_jsonl(path, strict: bool = True) -> List[dict]:
             if strict:
                 raise ExperimentError(message)
             warnings.warn(message, stacklevel=2)
-    return rows
+            continue
+        yield line, record
+
+
+class _EncodedRow(dict):
+    """A row's cell-key fields plus its already-encoded JSONL ``line``.
+
+    Compaction hands these to :func:`append_jsonl_lines`, which writes
+    ``line`` verbatim: shard lines are already in the canonical encoding,
+    so only their keys need parsing, not the whole row re-encoded.
+    """
+
+    __slots__ = ("line",)
+
+    def __init__(self, row: dict, line: bytes):
+        super().__init__(
+            variant=row["variant"], n=row["n"], seed_index=row["seed_index"]
+        )
+        self.line = line
 
 
 class JsonlTail:
@@ -418,14 +443,14 @@ class ResultStore:
 
         The pass is append-only on ``rows.jsonl`` (never rewritten, so
         concurrent readers and the canonical single writer stay safe):
-        every shard row whose cell key is not already canonical is
-        appended (one batched write per shard), then the shard file is
-        removed under its append lock —
-        a worker racing one last append either lands it before the shard
-        is read (merged now) or recreates the shard afterwards (merged by
-        the next pass).  Crashing between merge and delete leaves
-        duplicates, which readers resolve by key.  Returns the number of
-        rows merged.
+        every shard line whose cell key is not already canonical is
+        appended byte for byte (one batched write per shard; lines are
+        parsed only for their keys), then the shard file is removed under
+        its append lock — a worker racing one last append either lands it
+        before the shard is read (merged now) or recreates the shard
+        afterwards (merged by the next pass).  Crashing between merge and
+        delete leaves duplicates, which readers resolve by key.  Returns
+        the number of rows merged.
         """
         shard_paths = self.shard_paths()
         if not shard_paths:
@@ -443,14 +468,15 @@ class ResultStore:
             with handle:
                 with _locked(handle):
                     batch = []
-                    for row in read_jsonl(shard):
+                    lines = handle.read().split(b"\n")
+                    for line, row in _parse_lines(shard, lines):
                         key = (
                             row["variant"], int(row["n"]),
                             int(row["seed_index"]),
                         )
                         if key not in known:
                             known.add(key)
-                            batch.append(row)
+                            batch.append(_EncodedRow(row, line + b"\n"))
                     if batch:
                         append_jsonl_lines(
                             self._rows_path, batch, fsync=self._fsync

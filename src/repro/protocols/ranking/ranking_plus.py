@@ -38,6 +38,12 @@ class RankingPlusOutcome:
     error: Optional[str] = None
 
 
+#: Shared outcomes of the invocations that assign no rank and detect no
+#: error; callers only read them.
+UNCHANGED = RankingPlusOutcome()
+CHANGED = RankingPlusOutcome(changed=True)
+
+
 class RankingPlus:
     """Protocol 4, operating on pairs of main-state agents.
 
@@ -72,6 +78,7 @@ class RankingPlus:
                 f"L_max ({l_max}) must be at least alive_reset ({alive_reset})"
             )
         self._schedule = schedule
+        self._n = schedule.n
         self._rules = RankingRules(schedule, wait_init)
         self._alive_reset = alive_reset
         self._l_max = l_max
@@ -105,18 +112,23 @@ class RankingPlus:
     # Protocol 4
     # ------------------------------------------------------------------
     def apply(self, initiator: AgentState, responder: AgentState) -> RankingPlusOutcome:
-        """Execute ``Ranking+(u, v)`` with ``u = initiator``, ``v = responder``."""
+        """Execute ``Ranking+(u, v)`` with ``u = initiator``, ``v = responder``.
+
+        Outcomes that assign no rank and detect no error are the shared
+        :data:`UNCHANGED` / :data:`CHANGED` instances.
+        """
         u, v = initiator, responder
-        n = self._schedule.n
+        u_rank = u.rank
+        u_wait = u.wait_count
 
         # Lines 1-4: directly detectable errors.
-        if u.rank is not None and u.rank == v.rank:
+        if u_rank is not None and u_rank == v.rank:
             self._errors_detected["duplicate_rank"] += 1
             self._trigger_reset(u)
             return RankingPlusOutcome(
                 changed=True, reset_triggered=True, error="duplicate_rank"
             )
-        if u.wait_count is not None and v.wait_count is not None:
+        if u_wait is not None and v.wait_count is not None:
             self._errors_detected["duplicate_waiting"] += 1
             self._trigger_reset(u)
             return RankingPlusOutcome(
@@ -124,47 +136,52 @@ class RankingPlus:
             )
 
         changed = False
+        v_alive = v.alive_count
 
         # Lines 5-6: two liveness-checking agents adopt the maximum minus one.
-        if u.alive_count is not None and v.alive_count is not None:
-            new_count = max(0, max(u.alive_count, v.alive_count) - 1)
-            if u.alive_count != new_count or v.alive_count != new_count:
+        u_alive = u.alive_count
+        if u_alive is not None and v_alive is not None:
+            new_count = max(0, max(u_alive, v_alive) - 1)
+            if u_alive != new_count or v_alive != new_count:
                 u.alive_count = new_count
-                v.alive_count = new_count
+                v.alive_count = v_alive = new_count
                 changed = True
 
         # Lines 7-8: meeting one of the top-ranked agents drains the counter.
-        if u.rank in (n - 1, n) and v.alive_count is not None:
-            v.alive_count = max(0, v.alive_count - 1)
+        n = self._n
+        if (u_rank == n - 1 or u_rank == n) and v_alive is not None:
+            v.alive_count = v_alive = max(0, v_alive - 1)
             changed = True
 
         # Lines 9-11: a drained counter means no progress — reset.
-        if v.alive_count == 0:
+        if v_alive == 0:
             self._errors_detected["liveness"] += 1
             self._trigger_reset(u)
             return RankingPlusOutcome(
                 changed=True, reset_triggered=True, error="liveness"
             )
 
-        if v.coin == 0:
+        v_coin = v.coin
+        if v_coin == 0:
             # Lines 12-14: replenish the liveness counter when the pair is
             # productive but the coin forbids actual progress this time.
-            productive = u.wait_count is not None or (
-                u.rank is not None
+            productive = u_wait is not None or (
+                u_rank is not None
                 and v.phase is not None
-                and u.rank <= self._schedule.unranked_leader_threshold(v.phase)
+                and u_rank <= self._schedule.unranked_leader_threshold(v.phase)
             )
-            if productive and v.alive_count != self._alive_reset:
+            if productive and v_alive != self._alive_reset:
                 v.alive_count = self._alive_reset
                 changed = True
-        elif v.coin == 1:
+        elif v_coin == 1:
             # Lines 15-18: execute the base protocol.
             outcome: RankingOutcome = self._rules.apply(u, v)
-            changed = changed or outcome.changed
             if outcome.initiator_became_waiting:
                 u.coin = 0
                 u.alive_count = self._l_max
-            return RankingPlusOutcome(
-                changed=changed, rank_assigned=outcome.rank_assigned
-            )
-        return RankingPlusOutcome(changed=changed)
+            if outcome.rank_assigned is not None:
+                return RankingPlusOutcome(
+                    changed=True, rank_assigned=outcome.rank_assigned
+                )
+            changed = changed or outcome.changed
+        return CHANGED if changed else UNCHANGED

@@ -51,6 +51,11 @@ class RankingOutcome:
     phase_advanced: bool = False
 
 
+#: The shared outcome of every invocation that changes nothing; callers
+#: only read it.
+UNCHANGED = RankingOutcome()
+
+
 class RankingRules:
     """Protocol 2, parameterized by the phase schedule and ``c_wait``.
 
@@ -78,32 +83,35 @@ class RankingRules:
         return self._wait_init
 
     def apply(self, initiator: AgentState, responder: AgentState) -> RankingOutcome:
-        """Execute ``Ranking(u, v)`` with ``u = initiator``, ``v = responder``."""
+        """Execute ``Ranking(u, v)`` with ``u = initiator``, ``v = responder``.
+
+        An invocation that changes nothing returns the shared
+        :data:`UNCHANGED` outcome.
+        """
         u, v = initiator, responder
-        outcome = RankingOutcome()
 
         # Line 1: if v is not a phase agent (it is ranked, waiting, …), do nothing.
-        if v.phase is None:
-            return outcome
+        k = v.phase
+        if k is None:
+            return UNCHANGED
 
-        schedule = self._schedule
-        if u.rank is not None:
-            k = v.phase
+        u_rank = u.rank
+        if u_rank is not None:
+            schedule = self._schedule
             if k <= schedule.phase_count:
                 boundary = schedule.ranks_per_phase(k)  # f_k - f_{k+1}
-                if 1 <= u.rank <= boundary:
+                if 1 <= u_rank <= boundary:
                     # Lines 4-5: u is the unaware leader for phase k and
                     # assigns the next rank of the phase to v.
-                    assigned = schedule.f(k + 1) + u.rank
+                    assigned = schedule.f(k + 1) + u_rank
                     v.phase = None
                     v.rank = assigned
                     v.coin = None
                     v.alive_count = None
-                    outcome.changed = True
-                    outcome.rank_assigned = assigned
-                    if u.rank < boundary:
+                    outcome = RankingOutcome(changed=True, rank_assigned=assigned)
+                    if u_rank < boundary:
                         # Lines 6-7: phase not done, advance the leader's rank.
-                        u.rank += 1
+                        u.rank = u_rank + 1
                     elif k < schedule.phase_count:
                         # Lines 8-9: end of a non-final phase, start waiting.
                         u.rank = None
@@ -112,36 +120,39 @@ class RankingRules:
                     # In the final phase the leader keeps its rank (which is
                     # 1 by this point in a correct execution) and the
                     # protocol becomes silent.
-                elif u.rank == schedule.f(k) and k < schedule.phase_count:
+                    return outcome
+                if u_rank == schedule.f(k) and k < schedule.phase_count:
                     # Lines 10-11: u holds the last rank of phase k, so v can
                     # safely conclude that phase k is finished.  (In a correct
                     # execution this never fires for the final phase; the
                     # guard keeps adversarial configurations of the
                     # self-stabilizing protocol inside the phase state space.)
                     v.phase = k + 1
-                    outcome.changed = True
-                    outcome.phase_advanced = True
-            return outcome
+                    return RankingOutcome(changed=True, phase_advanced=True)
+            return UNCHANGED
 
-        if u.phase is not None:
+        u_phase = u.phase
+        if u_phase is not None:
             # Lines 12-14: two phase agents adopt the more advanced phase.
-            maximum = max(u.phase, v.phase)
-            if u.phase != maximum or v.phase != maximum:
+            maximum = max(u_phase, k)
+            if u_phase != maximum or k != maximum:
                 u.phase = maximum
                 v.phase = maximum
-                outcome.changed = True
-                outcome.phase_advanced = True
-            return outcome
+                return RankingOutcome(changed=True, phase_advanced=True)
+            return UNCHANGED
 
-        if u.wait_count is not None:
+        wait = u.wait_count
+        if wait is not None:
             # Lines 15-19: the waiting leader counts down against phase agents
             # and eventually re-enters the ranking with rank 1.
-            u.wait_count -= 1
-            outcome.changed = True
-            if u.wait_count == 0:
+            outcome = RankingOutcome(changed=True)
+            if wait == 1:
                 u.wait_count = None
                 u.rank = 1
                 u.coin = None
                 u.alive_count = None
                 outcome.initiator_became_ranked = True
-        return outcome
+            else:
+                u.wait_count = wait - 1
+            return outcome
+        return UNCHANGED

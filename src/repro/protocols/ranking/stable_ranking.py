@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ...core.configuration import Configuration
-from ...core.protocol import RankingProtocol, TransitionResult
+from ...core.protocol import CHANGED, NOOP, RankingProtocol, TransitionResult
 from ...core.state import AgentState
 from ..leader_election.fast_leader_election import FastLeaderElection, default_l_max
 from ..reset.propagate_reset import PropagateReset, default_reset_depths
@@ -168,46 +168,63 @@ class StableRanking(RankingProtocol[AgentState]):
     ) -> TransitionResult:
         u, v = initiator, responder
         changed = False
+        triggered = False
         rank_assigned = None
-        triggers_before = self._reset.triggered_count
 
         # Line 1: propagate resets and manage dormancy.
-        if self._reset.applies(u, v):
-            changed = self._reset.apply(u, v) or changed
+        if (
+            u.reset_count is not None
+            or u.delay_count is not None
+            or v.reset_count is not None
+            or v.delay_count is not None
+        ):
+            changed = self._reset.apply(u, v)
 
-        # Lines 2-3: both agents still electing a leader.
-        if u.leader_done is not None and v.leader_done is not None:
-            changed = self._leader_election.apply(u, v, rng) or changed
-
-        # Lines 4-6: a leader-electing agent meets an agent already executing
-        # the main protocol and joins it as a phase-1 agent.
+        # Lines 2-3: both agents still electing a leader.  Only the initiator
+        # changes, and a timeout may trigger a reset on it.
         u_in_le = u.leader_done is not None
         v_in_le = v.leader_done is not None
+        if u_in_le and v_in_le:
+            triggers_before = self._reset.triggered_count
+            changed = self._leader_election.apply(u, v, rng) or changed
+            triggered = self._reset.triggered_count > triggers_before
+            u_in_le = u.leader_done is not None
+
+        # Lines 4-6: a leader-electing agent meets an agent already executing
+        # the main protocol and joins it as a phase-1 agent, after which both
+        # hold main states.
         if u_in_le != v_in_le:
             le_agent, other = (u, v) if u_in_le else (v, u)
-            if in_main_state(other):
+            both_main = in_main_state(other)
+            if both_main:
                 coin = le_agent.coin if le_agent.coin is not None else 0
                 le_agent.clear()
                 le_agent.coin = coin
                 le_agent.phase = 1
                 le_agent.alive_count = self._l_max
                 changed = True
+        else:
+            both_main = not u_in_le and in_main_state(u) and in_main_state(v)
 
         # Lines 7-8: both agents hold main states — run Ranking+.
-        if in_main_state(u) and in_main_state(v):
+        if both_main:
             outcome = self._ranking_plus.apply(u, v)
             changed = changed or outcome.changed
+            triggered = triggered or outcome.reset_triggered
             rank_assigned = outcome.rank_assigned
 
         # Lines 9-10: toggle the responder's coin if it has one.
-        if v.coin is not None:
-            v.toggle_coin()
+        coin = v.coin
+        if coin is not None:
+            v.coin = 1 - coin
             changed = True
 
+        if rank_assigned is None and not triggered:
+            return CHANGED if changed else NOOP
         return TransitionResult(
             changed=changed,
             rank_assigned=rank_assigned,
-            reset_triggered=self._reset.triggered_count > triggers_before,
+            reset_triggered=triggered,
         )
 
     def has_converged(self, configuration: Configuration[AgentState]) -> bool:

@@ -31,13 +31,22 @@ def in_main_state(state: AgentState) -> bool:
     A main state is either a bare rank, or an unranked main state consisting
     of a coin, an ``aliveCount`` and either a wait counter or a phase.  States
     carrying leader-election or reset variables are not main states.
+
+    The fields are read directly rather than through the ``in_reset`` /
+    ``in_leader_election`` properties: ``StableRanking`` asks this for
+    both agents of most interactions.
     """
-    if state.in_reset or state.in_leader_election:
+    if (
+        state.reset_count is not None
+        or state.delay_count is not None
+        or state.leader_done is not None
+    ):
         return False
     if state.rank is not None:
         return True
-    has_main_variable = state.wait_count is not None or state.phase is not None
-    return state.alive_count is not None and has_main_variable
+    return state.alive_count is not None and (
+        state.wait_count is not None or state.phase is not None
+    )
 
 
 def is_productive_pair(

@@ -119,45 +119,69 @@ class PropagateReset:
         state changed.
 
         The rules are symmetric in the two agents (the paper does not
-        distinguish initiator and responder here).
+        distinguish initiator and responder here).  Each agent's counters
+        are read once, not through the ``AgentState`` role properties, and
+        tracked in locals as the rules update them.
         """
-        if not self.applies(u, v):
+        u_reset = u.reset_count
+        u_delay = u.delay_count
+        v_reset = v.reset_count
+        v_delay = v.delay_count
+        u_in_reset = u_reset is not None or u_delay is not None
+        v_in_reset = v_reset is not None or v_delay is not None
+        if not (u_in_reset or v_in_reset):
             return False
 
         changed = False
-        u_propagating = u.is_propagating
-        v_propagating = v.is_propagating
+        u_propagating = u_reset is not None and u_reset > 0
+        v_propagating = v_reset is not None and v_reset > 0
 
         if u_propagating and v_propagating:
             # Two propagating agents adopt the maximum counter minus one
             # (unless both are already 0, which cannot happen here because
-            # ``is_propagating`` requires a positive counter).
-            new_count = max(u.reset_count, v.reset_count) - 1
-            u.reset_count = new_count
-            v.reset_count = new_count
+            # propagating requires a positive counter).
+            u_reset = v_reset = max(u_reset, v_reset) - 1
+            u.reset_count = u_reset
+            v.reset_count = v_reset
             changed = True
         elif u_propagating or v_propagating:
-            propagating, other = (u, v) if u_propagating else (v, u)
-            propagating.reset_count -= 1
+            # The propagating agent decrements its counter; a computing
+            # partner is absorbed into the reset epidemic.  A dormant partner
+            # only takes its own decrement below.
+            if u_propagating:
+                u_reset -= 1
+                u.reset_count = u_reset
+                if not v_in_reset:
+                    self._infect(v, u_reset)
+                    v_reset, v_delay = v.reset_count, v.delay_count
+            else:
+                v_reset -= 1
+                v.reset_count = v_reset
+                if not u_in_reset:
+                    self._infect(u, v_reset)
+                    u_reset, u_delay = u.reset_count, u.delay_count
             changed = True
-            if not other.in_reset:
-                # A computing agent is absorbed into the reset epidemic.
-                self._infect(other, propagating.reset_count)
-            # Propagating-meets-dormant only decrements the propagating agent;
-            # the dormant agent's own decrement is handled below.
 
-        # Every dormant agent decrements its delay counter on any interaction.
-        for agent in (u, v):
-            if agent.is_dormant:
-                agent.delay_count -= 1
-                changed = True
-                if agent.delay_count == 0:
-                    self._wake(agent)
+        # Every dormant agent (reset counter 0, delay counter positive)
+        # decrements its delay counter on any interaction, including one
+        # that became dormant above.
+        if u_reset == 0 and u_delay is not None and u_delay > 0:
+            self._count_down_dormancy(u, u_delay)
+            changed = True
+        if v_reset == 0 and v_delay is not None and v_delay > 0:
+            self._count_down_dormancy(v, v_delay)
+            changed = True
         return changed
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
+    def _count_down_dormancy(self, agent: AgentState, delay_count: int) -> None:
+        """Decrement a dormant agent's delay counter; restart it at 0."""
+        agent.delay_count = delay_count - 1
+        if delay_count == 1:
+            self._wake(agent)
+
     def _infect(self, agent: AgentState, reset_count: int) -> None:
         """Turn a computing agent into a propagating one."""
         coin = agent.coin if agent.coin is not None else 0

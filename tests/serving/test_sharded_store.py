@@ -209,6 +209,24 @@ class TestCompaction:
         parsed = [json.loads(line) for line in canon.rows_path.read_text().splitlines()]
         assert [record["seed_index"] for record in parsed] == [0, 1, 2]
 
+    def test_compact_copies_kept_shard_lines_verbatim(self, tmp_path):
+        canon = ResultStore(tmp_path, "study", "feedc0ffee12")
+        canon.append(row(seed=0))
+        canon_bytes = canon.rows_path.read_bytes()
+        # Unsorted keys and extra spaces: a re-encoded row would differ.
+        kept = [
+            b'{"seed_index": 1,  "variant": "v", "n": 8, "converged": true}\n',
+            b'{"n": 8, "variant": "v", "seed_index": 2, "interactions": 7}\n',
+        ]
+        duplicate = b'{"variant": "v", "n": 8, "seed_index": 0}\n'
+        canon.shards_directory.mkdir()
+        shard = canon.shards_directory / "wa.jsonl"
+        shard.write_bytes(kept[0] + duplicate + kept[1] + b'{"variant": "v", "n')
+        with pytest.warns(UserWarning, match="torn trailing record"):
+            assert canon.compact() == 2
+        assert canon.rows_path.read_bytes() == canon_bytes + b"".join(kept)
+        assert not shard.exists()
+
     def test_batch_append_is_one_complete_run_of_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         append_jsonl_line(path, row(seed=0))
