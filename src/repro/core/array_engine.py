@@ -111,10 +111,7 @@ from .scheduler import UniformPairScheduler
 from .simulation import SimulationResult, Simulator, apply_pairs, segmented_run
 from .soa import ColumnStore, VectorizedKernel
 
-__all__ = ["ArraySimulator", "EngineCache", "make_simulator", "ENGINE_NAMES"]
-
-#: Engine names understood by :func:`make_simulator`.
-ENGINE_NAMES = ("reference", "array")
+__all__ = ["ArraySimulator", "EngineCache", "make_simulator"]
 
 # Bit layout of packed table entries: successor codes use 21 bits each, the
 # assigned rank 17 bits, then one bit each for the changed and reset flags.
@@ -1007,7 +1004,7 @@ class ArraySimulator:
             segment_end = start + self._until_stop(
                 min(self.SOA_WALK_SEGMENT, total - start)
             )
-            self._walk_all(
+            self._walk(
                 pairs[start:segment_end, 0].tolist(),
                 pairs[start:segment_end, 1].tolist(),
             )
@@ -1023,9 +1020,10 @@ class ArraySimulator:
             # kernel re-entry, and never tabulates.
             while start < total:
                 bound = start + self._until_stop(total - start)
-                walked = self._walk_while_tabulated(
+                walked = self._walk(
                     pairs[start:bound, 0].tolist(),
                     pairs[start:bound, 1].tolist(),
+                    tabulate=False,
                 )
                 start += walked
                 self._record_due()
@@ -1093,7 +1091,7 @@ class ArraySimulator:
         if walk_count == total:
             # Nothing retired, so no elimination to validate: take the
             # simple in-order loop without the reactivation bookkeeping.
-            self._walk_all(agents_i.tolist(), agents_r.tolist())
+            self._walk(agents_i.tolist(), agents_r.tolist())
             return
         safe = ~walk_mask
         order_np = np.flatnonzero(walk_mask)
@@ -1192,30 +1190,38 @@ class ArraySimulator:
         # Pairs still marked safe survived validation: exact no-ops.
         self._interactions += int(np.count_nonzero(safe))
 
-    def _walk_all(self, ai: List[int], ar: List[int]) -> None:
-        """In-order walk of a whole chunk (nothing was retired).
+    def _walk(self, ai: List[int], ar: List[int], tabulate: bool = True) -> int:
+        """In-order walk of pairs with nothing retired; returns pairs consumed.
 
-        Same semantics as the validated walk in :meth:`_process_chunk`, but
-        with no elimination to protect there is no reactivation bookkeeping,
-        which makes the per-interaction loop measurably tighter — this is
-        the hot path of the write-heavy early phase.
+        Same semantics as the validated walk in
+        :meth:`_process_chunk_tables`, but with no elimination to protect
+        there is no reactivation bookkeeping, which makes the
+        per-interaction loop measurably tighter — this is the hot path of
+        the write-heavy early phase.  A pair whose current state pair the
+        cache does not hold is tabulated when ``tabulate`` is set (a
+        transition that draws randomness demotes the engine, and the
+        object path runs the rest).  Without it the walk stops in front of
+        that pair, so every step is a warm dictionary probe and the walk
+        can never tabulate or demote; kernel-decline segments extend this
+        way, handing the stopping pair back to the kernel.
         """
         codes = self._code_list
-        pair_dict = self._kernel.pair_dict
+        get = self._kernel.pair_dict.get
         evaluate = self._kernel.evaluate_packed
-        get = pair_dict.get
         pending: Dict[int, int] = {}
         walked = 0
         ranks = 0
         resets = 0
         changed = False
-        demote_from: Optional[int] = None
+        demoted = False
         try:
             for i, j in zip(ai, ar):
                 a = codes[i]
                 b = codes[j]
                 value = get((a << _CODE_BITS) | b)
                 if value is None:
+                    if not tabulate:
+                        break
                     value = evaluate((a << _CODE_BITS) | b)
                 next_a = value & _CODE_MASK
                 if next_a != a:
@@ -1234,7 +1240,7 @@ class ArraySimulator:
                     if value & _RESET_BIT:
                         resets += 1
         except RandomnessConsumed:
-            demote_from = walked
+            demoted = True
         if pending:
             self._codes_np[list(pending.keys())] = list(pending.values())
         self._interactions += walked
@@ -1242,55 +1248,9 @@ class ArraySimulator:
         self._resets += resets
         if changed:
             self._changed_since_check = True
-        if demote_from is not None:
-            self._demote_to_object(ai[demote_from:], ar[demote_from:])
-
-    def _walk_while_tabulated(self, ai: List[int], ar: List[int]) -> int:
-        """Walk pairs in order while the pair cache already holds them.
-
-        The tabulation-free sibling of :meth:`_walk_all`, used to extend a
-        kernel-decline segment: execution stops in front of the first pair
-        whose current state pair is not in the cache (that pair goes back
-        to the kernel), so every step is a warm dictionary probe and the
-        walk can never tabulate or demote.  Returns the number of pairs
-        consumed.
-        """
-        codes = self._code_list
-        get = self._kernel.pair_dict.get
-        pending: Dict[int, int] = {}
-        walked = 0
-        ranks = 0
-        resets = 0
-        changed = False
-        for i, j in zip(ai, ar):
-            a = codes[i]
-            b = codes[j]
-            value = get((a << _CODE_BITS) | b)
-            if value is None:
-                break
-            next_a = value & _CODE_MASK
-            if next_a != a:
-                codes[i] = next_a
-                pending[i] = next_a
-            next_b = (value >> _CODE_BITS) & _CODE_MASK
-            if next_b != b:
-                codes[j] = next_b
-                pending[j] = next_b
-            walked += 1
-            if value & _FLAG_FIELD:
-                if value & _CHANGED_BIT:
-                    changed = True
-                if value & _RANK_FIELD:
-                    ranks += 1
-                if value & _RESET_BIT:
-                    resets += 1
-        if pending:
-            self._codes_np[list(pending.keys())] = list(pending.values())
-        self._interactions += walked
-        self._rank_assignments += ranks
-        self._resets += resets
-        if changed:
-            self._changed_since_check = True
+        if demoted:
+            self._demote_to_object(ai[walked:], ar[walked:])
+            return len(ai)
         return walked
 
     def _reactivate(self, agent, position, order, cursor, safe, agents_i, agents_r):
@@ -1495,26 +1455,31 @@ def make_simulator(
 ):
     """Build a simulator for ``protocol`` by engine name.
 
-    ``engine="reference"`` returns the agent-level :class:`Simulator`,
-    ``engine="array"`` the vectorized :class:`ArraySimulator`, and
-    ``engine="auto"`` asks the backend registry
-    (:mod:`repro.core.backends`) for the fastest agent-level backend
-    capable of the protocol — negotiated through the protocol's
-    rng-consumption declaration.  All engines accept the shared keyword
-    arguments (``configuration``, ``random_state``, ``metrics``,
-    ``convergence_interval``).
+    ``engine`` names an agent-level backend of the registry
+    (:mod:`repro.core.backends`): ``"reference"`` builds the agent-level
+    :class:`Simulator`, ``"array"`` the vectorized :class:`ArraySimulator`,
+    and ``"auto"`` the fastest agent-level backend capable of the
+    protocol — negotiated through the protocol's rng-consumption
+    declaration.  All engines accept the shared keyword arguments
+    (``configuration``, ``random_state``, ``metrics``,
+    ``convergence_interval``); ``cache`` reaches only the engines that use
+    one.  Any other name raises :class:`ValueError`.
     """
-    if engine == "reference":
-        return Simulator(protocol, **kwargs)
-    if engine == "array":
-        return ArraySimulator(protocol, **kwargs)
-    if engine == "auto":
-        from .backends import resolve_backend
+    from . import backends
 
-        backend, _ = resolve_backend(
-            protocol, "fresh", protocol.n, engine="auto", kinds=("agent",)
-        )
-        return backend.create(protocol, **kwargs)
-    raise ValueError(
-        f"unknown engine {engine!r}; expected one of {ENGINE_NAMES + ('auto',)}"
+    agent_engines = tuple(
+        name for name in backends.backend_names()
+        if backends.get_backend(name).kind == "agent"
     )
+    if engine == backends.AUTO_ENGINE:
+        backend, _ = backends.resolve_backend(
+            protocol, "fresh", protocol.n, kinds=("agent",)
+        )
+    elif engine in agent_engines:
+        backend = backends.get_backend(engine)
+    else:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of "
+            f"{agent_engines + (backends.AUTO_ENGINE,)}"
+        )
+    return backend.create(protocol, **kwargs)

@@ -10,8 +10,7 @@ engine it described.  This module makes the engines first-class:
 * a :class:`Backend` names one engine and answers a
   :meth:`~Backend.capabilities` probe — given a protocol instance, a
   workload name and a population size, it reports whether it can run the
-  cell, its exactness class, whether it records metric series, and a
-  relative throughput hint;
+  cell (and why not), its exactness class and a relative throughput hint;
 * a registry maps engine names to backends
   (:func:`register_backend` / :func:`get_backend` / :func:`backend_names`);
 * :func:`resolve_backend` turns a requested engine — a concrete name or
@@ -82,18 +81,6 @@ class BackendCapability:
         ``"trajectory"`` (bit-identical to the reference for the same
         seed) or ``"distribution"`` (exact in distribution); empty when
         unsupported.
-    supports_series:
-        Whether the backend can record metric time series.
-    supports_events:
-        Whether the backend can apply agent-level mid-run perturbation
-        events (:mod:`repro.scenarios`) — requires real per-agent state
-        the event appliers can rewrite between segments.
-    supports_topology:
-        Whether the backend can run cells on a restricted interaction
-        topology (:mod:`repro.topologies`) — requires an agent-level pair
-        stream the topology scheduler can inject into.  The count-level
-        engines answer complete-only: a state-count vector cannot see
-        which *agents* are adjacent.
     throughput_hint:
         Expected throughput relative to the reference simulator (1.0);
         the ``auto`` resolver maximizes this among supported backends.
@@ -104,9 +91,6 @@ class BackendCapability:
 
     supported: bool
     exactness: str = ""
-    supports_series: bool = True
-    supports_events: bool = True
-    supports_topology: bool = True
     throughput_hint: float = 0.0
     reason: str = ""
 
@@ -131,7 +115,6 @@ class Backend(abc.ABC):
         *,
         series: bool = False,
         events: bool = False,
-        stop_on_convergence: bool = True,
         topology: Optional[str] = None,
     ) -> BackendCapability:
         """Probe whether (and how well) this backend can run one cell.
@@ -167,12 +150,10 @@ class ReferenceBackend(Backend):
     name = "reference"
 
     def capabilities(self, protocol, workload, n, *, series=False,
-                     events=False, stop_on_convergence=True,
-                     topology=None):
+                     events=False, topology=None):
         return BackendCapability(
             supported=True,
             exactness="trajectory",
-            supports_series=True,
             throughput_hint=1.0,
         )
 
@@ -203,8 +184,7 @@ class ArrayBackend(Backend):
     HINT_OBJECT_FALLBACK = 0.8
 
     def capabilities(self, protocol, workload, n, *, series=False,
-                     events=False, stop_on_convergence=True,
-                     topology=None):
+                     events=False, topology=None):
         from .array_engine import _MAX_RANK
 
         declared = protocol.consumes_randomness()
@@ -224,14 +204,12 @@ class ArrayBackend(Backend):
             return BackendCapability(
                 supported=True,
                 exactness="trajectory",
-                supports_series=True,
                 throughput_hint=self.HINT_OBJECT_FALLBACK,
                 reason=reason,
             )
         return BackendCapability(
             supported=True,
             exactness="trajectory",
-            supports_series=True,
             throughput_hint=(
                 self.HINT_TABULATED if declared is False else self.HINT_UNKNOWN
             ),
@@ -263,14 +241,10 @@ class AggregateBackend(Backend):
     SUPPORTED_WORKLOADS = ("figure3",)
 
     def capabilities(self, protocol, workload, n, *, series=False,
-                     events=False, stop_on_convergence=True,
-                     topology=None):
+                     events=False, topology=None):
         if topology is not None:
             return BackendCapability(
                 supported=False,
-                supports_series=False,
-                supports_events=False,
-                supports_topology=False,
                 reason=(
                     "the aggregate engine's event decomposition assumes "
                     "the uniform scheduler on the complete graph; a "
@@ -281,8 +255,6 @@ class AggregateBackend(Backend):
         if events:
             return BackendCapability(
                 supported=False,
-                supports_series=False,
-                supports_events=False,
                 reason=(
                     "the aggregate engine evolves group counts, not "
                     "agents; agent-level mid-run events cannot be applied"
@@ -305,14 +277,11 @@ class AggregateBackend(Backend):
         if series:
             return BackendCapability(
                 supported=False,
-                supports_series=False,
                 reason="the aggregate engine does not record metric series",
             )
         return BackendCapability(
             supported=True,
             exactness="distribution",
-            supports_series=False,
-            supports_events=False,
             throughput_hint=200.0,
         )
 
@@ -354,14 +323,10 @@ class GroupCountBackend(Backend):
     HINT_DEFAULT = 0.9
 
     def capabilities(self, protocol, workload, n, *, series=False,
-                     events=False, stop_on_convergence=True,
-                     topology=None):
+                     events=False, topology=None):
         if topology is not None:
             return BackendCapability(
                 supported=False,
-                supports_series=False,
-                supports_events=False,
-                supports_topology=False,
                 reason=(
                     "lumping agents to state counts is only exact under "
                     "the complete-graph uniform scheduler; a restricted "
@@ -372,8 +337,6 @@ class GroupCountBackend(Backend):
         if events:
             return BackendCapability(
                 supported=False,
-                supports_series=False,
-                supports_events=False,
                 reason=(
                     "the group-count engine evolves state counts, not "
                     "agents; agent-level mid-run events cannot be applied"
@@ -382,14 +345,11 @@ class GroupCountBackend(Backend):
         if series:
             return BackendCapability(
                 supported=False,
-                supports_series=False,
-                supports_events=False,
                 reason="the group-count engine does not record metric series",
             )
         if protocol.consumes_randomness() is not False:
             return BackendCapability(
                 supported=False,
-                supports_events=False,
                 reason=(
                     "the count process is only exactly lumped for "
                     "deterministic transitions; the protocol does not "
@@ -399,7 +359,6 @@ class GroupCountBackend(Backend):
         if protocol.count_goal(None) is None:
             return BackendCapability(
                 supported=False,
-                supports_events=False,
                 reason=(
                     "the protocol declares no count_goal(); convergence "
                     "cannot be observed over state counts"
@@ -415,8 +374,6 @@ class GroupCountBackend(Backend):
         return BackendCapability(
             supported=True,
             exactness="distribution",
-            supports_series=False,
-            supports_events=False,
             throughput_hint=hint,
         )
 
@@ -472,7 +429,6 @@ def resolve_backend(
     engine: str = AUTO_ENGINE,
     series: bool = False,
     events: bool = False,
-    stop_on_convergence: bool = True,
     kinds: Optional[Sequence[str]] = None,
     exactness: Optional[str] = None,
     topology: Optional[str] = None,
@@ -506,7 +462,7 @@ def resolve_backend(
             )
         capability = backend.capabilities(
             protocol, workload, n, series=series, events=events,
-            stop_on_convergence=stop_on_convergence, topology=topology,
+            topology=topology,
         )
         if not capability.supported:
             raise ExperimentError(
@@ -528,7 +484,7 @@ def resolve_backend(
             continue
         capability = backend.capabilities(
             protocol, workload, n, series=series, events=events,
-            stop_on_convergence=stop_on_convergence, topology=topology,
+            topology=topology,
         )
         if not capability.supported:
             continue

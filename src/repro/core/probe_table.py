@@ -32,9 +32,8 @@ size threshold:
 
 Both representations answer unknown pairs with ``-1``, matching the
 engine's conservative "writes both agents, carries flags" reading, so the
-switch is invisible to callers.  Deletion (:meth:`ProbeClassTable.discard`)
-is supported through tombstones: a deleted slot keeps longer probe chains
-intact and is reused by later insertions.
+switch is invisible to callers.  Entries are only ever added (tabulation
+appends), so the hash table needs no deletion markers.
 """
 
 from __future__ import annotations
@@ -55,12 +54,11 @@ DENSE_STATE_LIMIT = 2048
 _MIX = 0x9E3779B97F4A7C15
 _WORD = 0xFFFF_FFFF_FFFF_FFFF
 
-#: Slot markers in the key array.  Pair keys are always non-negative, so
-#: negative sentinels can never collide with a real key.
+#: Empty-slot marker in the key array.  Pair keys are always non-negative,
+#: so the negative sentinel can never collide with a real key.
 _EMPTY = -1
-_TOMBSTONE = -2
 
-#: Grow the hash table when (live + tombstone) slots exceed this fraction.
+#: Grow the hash table when occupied slots exceed this fraction.
 _MAX_LOAD = 0.6
 
 
@@ -82,7 +80,7 @@ class ProbeClassTable:
 
     __slots__ = (
         "_key_bits", "_dense_limit", "_dense",
-        "_keys", "_values", "_mask", "_shift", "_live", "_used",
+        "_keys", "_values", "_mask", "_shift", "_live",
     )
 
     def __init__(
@@ -102,8 +100,7 @@ class ProbeClassTable:
         self._values: Optional[np.ndarray] = None
         self._mask = 0
         self._shift = 64
-        self._live = 0  # slots holding a real entry
-        self._used = 0  # slots that are not EMPTY (live + tombstones)
+        self._live = 0  # occupied slots
         if self._dense_limit == 0:
             self._init_hash(int(initial_hash_capacity))
 
@@ -171,7 +168,6 @@ class ProbeClassTable:
         self._mask = size - 1
         self._shift = 64 - size.bit_length() + 1  # 64 - log2(size)
         self._live = 0
-        self._used = 0
 
     def _migrate_to_hash(self) -> None:
         dense = self._dense
@@ -225,7 +221,6 @@ class ProbeClassTable:
                 table_keys[index[place]] = keys[place]
                 table_values[index[place]] = values[place]
                 self._live += placed
-                self._used += placed
                 rest = ~place
                 keys = keys[rest]
                 values = values[rest]
@@ -247,28 +242,21 @@ class ProbeClassTable:
         self._set_key(self._key(a, b), value)
 
     def _set_key(self, key: int, value: int) -> None:
-        if self._used + 1 > _MAX_LOAD * (self._mask + 1):
+        if self._live + 1 > _MAX_LOAD * (self._mask + 1):
             self._grow_hash()
         keys = self._keys
         mask = self._mask
         index = ((key * _MIX) & _WORD) >> self._shift
-        first_tombstone = -1
         while True:
             stored = keys[index]
             if stored == key:
                 self._values[index] = value
                 return
             if stored == _EMPTY:
-                if first_tombstone >= 0:
-                    index = first_tombstone
-                else:
-                    self._used += 1
                 keys[index] = key
                 self._values[index] = value
                 self._live += 1
                 return
-            if stored == _TOMBSTONE and first_tombstone < 0:
-                first_tombstone = index
             index = (index + 1) & mask
 
     def bulk_set(self, cu: np.ndarray, cv: np.ndarray, values) -> None:
@@ -296,7 +284,7 @@ class ProbeClassTable:
                 self._dense[cu, cv] = values
                 return
         keys = (cu << self._key_bits) | cv
-        if self._live == 0 and self._used == 0:
+        if self._live == 0:
             needed = int(count / _MAX_LOAD) + 1
             if needed > self._mask + 1:
                 self._init_hash(needed)
@@ -304,33 +292,6 @@ class ProbeClassTable:
             return
         for key, value in zip(keys.tolist(), values.tolist()):
             self._set_key(int(key), int(value))
-
-    def discard(self, a: int, b: int) -> bool:
-        """Remove the entry for ``(a, b)`` if present; returns whether it was.
-
-        Hashed entries are tombstoned (the slot stays occupied so longer
-        probe chains keep resolving) and reused by later insertions.
-        """
-        if self._keys is None:
-            if self._dense is None or a >= self._dense.shape[0] or b >= self._dense.shape[0]:
-                return False
-            present = self._dense[a, b] != _EMPTY
-            self._dense[a, b] = _EMPTY
-            return bool(present)
-        key = self._key(a, b)
-        keys = self._keys
-        mask = self._mask
-        index = ((key * _MIX) & _WORD) >> self._shift
-        while True:
-            stored = keys[index]
-            if stored == key:
-                keys[index] = _TOMBSTONE
-                self._values[index] = _EMPTY
-                self._live -= 1
-                return True
-            if stored == _EMPTY:
-                return False
-            index = (index + 1) & mask
 
     # ------------------------------------------------------------------
     # Reads
@@ -365,7 +326,7 @@ class ProbeClassTable:
                 return result
             return self._dense.reshape(-1).take(cu * cap + cv)
         result = np.full(len(cu), _EMPTY, dtype=np.int8)
-        if self._live == 0 and self._used == 0:
+        if self._live == 0:
             return result
         keys = (cu.astype(np.int64) << self._key_bits) | cv
         mixed = keys.astype(np.uint64) * np.uint64(_MIX)

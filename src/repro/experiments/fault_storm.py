@@ -12,9 +12,9 @@ population is back in a clean legal configuration after each injection.
 Rows carry the segment accounting produced by the engines' segmented
 runs: ``events_fired`` / ``events_recovered`` / ``mean_recovery_
 interactions`` extras plus ``converged_initial`` and ``event<k>_recovered``
-milestones.  Every engine answering ``supports_events`` runs these cells,
-and array-engine cells are bit-identical to the reference for the same
-seed despite the mid-run events.
+milestones.  Every engine whose capability probe supports events runs
+these cells, and array-engine cells are bit-identical to the reference
+for the same seed despite the mid-run events.
 
 Run it with ``python -m repro run fault_storm`` (``--scenario`` switches
 the event family, e.g. ``--scenario churn``).

@@ -31,10 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..core.errors import ExperimentError
 from .study import execute_batch, execute_cell
 
-__all__ = ["execute_unit", "run_cells", "run_units", "unit_cell_keys"]
-
-#: (spec payload dict, n, seed_index) — one cell shipped to a worker.
-CellArgs = Tuple[dict, int, int]
+__all__ = ["execute_unit", "run_units", "unit_cell_keys"]
 
 #: Tagged work unit: ``("cell", payload, n, seed_index)`` runs one cell.
 #: Units are produced by :func:`repro.experiments.study.plan_units` and
@@ -137,14 +134,3 @@ def run_units(
                     callback(row)
     return rows
 
-
-def run_cells(
-    cells: Sequence[CellArgs],
-    jobs: int = 1,
-    callback: Optional[Callable[[dict], None]] = None,
-) -> List[dict]:
-    """Execute bare (payload, n, seed) cells — see :func:`run_units`."""
-    return run_units(
-        [("cell",) + tuple(args) for args in cells], jobs=jobs,
-        callback=callback,
-    )

@@ -504,7 +504,7 @@ class ExperimentSpec:
         """Whether this spec's cells at ``n`` fire mid-run events."""
         return bool(self.build_schedule(n))
 
-    def resolve(self, n: int):
+    def resolve(self, n: int, protocol=None):
         """The ``(backend, capability)`` pair serving this spec's ``n`` cells.
 
         A concrete ``engine`` resolves to that backend (raising
@@ -515,16 +515,18 @@ class ExperimentSpec:
         resolution is a pure function of the spec and ``n``, so parallel
         workers resolve identically to a serial run.  Extractor-bearing
         specs read the final agent-level configuration, so they are
-        restricted to agent backends.
+        restricted to agent backends.  ``protocol`` is the cell's already
+        built protocol instance (built from the spec when omitted).
         """
+        if protocol is None:
+            protocol = self.build_protocol(n)
         return _backends.resolve_backend(
-            self.build_protocol(n),
+            protocol,
             self.workload,
             n,
             engine=self.engine,
             series=self.samples > 0,
             events=self.has_events(n),
-            stop_on_convergence=self.stop_on_convergence,
             kinds=("agent",) if self.extractors else None,
             exactness=self.exactness,
             topology=self.topology,
@@ -790,41 +792,44 @@ def execute_cell(spec_payload: Mapping, n: int, seed_index: int) -> dict:
     """Run one (variant, n, seed) cell and return its row dictionary.
 
     The cell's engine request (concrete name or ``"auto"``) is resolved
-    through the backend registry; the returned row records the *resolved*
-    backend in its ``engine`` field, so a store always shows which engine
-    actually served each cell.
+    once through the backend registry and picks the runner for the
+    backend's kind; the returned row records the *resolved* backend in
+    its ``engine`` field, so a store always shows which engine actually
+    served each cell.  Runners return only the outcome fields; every
+    cell-level field of the row is set here.
     """
     spec = ExperimentSpec.from_dict(dict(spec_payload))
-    workload_seq, run_seq, events_seq = _cell_rng_sequences(spec, n, seed_index)
+    sequences = _cell_rng_sequences(spec, n, seed_index)
     protocol = spec.build_protocol(n)
-    backend, capability = _backends.resolve_backend(
-        protocol,
-        spec.workload,
-        n,
-        engine=spec.engine,
-        series=spec.samples > 0,
-        events=spec.has_events(n),
-        stop_on_convergence=spec.stop_on_convergence,
-        kinds=("agent",) if spec.extractors else None,
-        exactness=spec.exactness,
-        topology=spec.topology,
-    )
+    backend, capability = spec.resolve(n, protocol=protocol)
     if backend.kind == "aggregate":
-        return _execute_aggregate(spec, n, seed_index, run_seq, backend,
-                                  capability)
-    if backend.kind == "count":
-        return _execute_group(
-            spec, protocol, n, seed_index, workload_seq, run_seq, backend,
-            capability,
-        )
-    return _execute_agent_level(
-        spec, protocol, n, seed_index, workload_seq, run_seq, events_seq,
-        backend, capability,
+        runner = _run_aggregate
+    elif backend.kind == "count":
+        runner = _run_group
+    else:
+        runner = _run_agent_level
+    outcome = runner(spec, protocol, n, sequences, backend)
+    # The count backends refuse restricted topologies, so every row that
+    # is not agent-level records the complete graph.
+    row = RunRow(
+        study="",
+        variant=spec.variant,
+        protocol=protocol.name,
+        engine=backend.name,
+        n=n,
+        seed_index=seed_index,
+        exactness=capability.exactness,
+        topology=spec.topology or "complete",
+        **outcome,
     )
+    return row.as_dict()
 
 
-def _execute_aggregate(spec, n, seed_index, run_seq, backend,
-                       capability) -> dict:
+def _run_aggregate(spec, protocol, n, sequences, backend) -> dict:
+    """Run one cell on the aggregate engine (its own count-level
+    simulation of ``protocol``, which the backend only accepts for
+    ``space-efficient-ranking``)."""
+    _, run_seq, _ = sequences
     simulator = AggregateSpaceEfficientRanking(
         n,
         random_state=np.random.default_rng(run_seq),
@@ -835,22 +840,16 @@ def _execute_aggregate(spec, n, seed_index, run_seq, backend,
         max_interactions=int(spec.max_interactions_factor * n * n),
         milestones=milestones,
     )
-    row = RunRow(
-        study="",
-        variant=spec.variant,
-        protocol="space-efficient-ranking",
-        engine=backend.name,
-        n=n,
-        seed_index=seed_index,
-        converged=outcome.converged,
-        interactions=outcome.interactions,
-        resets=0,
-        exactness=capability.exactness,
-        milestones={
+    return {
+        "converged": outcome.converged,
+        "interactions": outcome.interactions,
+        "resets": 0,
+        "extras": {},
+        "milestones": {
             name: int(value) for name, value in outcome.milestones.items()
         },
-    )
-    return row.as_dict()
+        "series": {},
+    }
 
 
 #: Per-process shared group-transition tabulations, keyed by
@@ -936,9 +935,7 @@ def _persist_group_model(protocol, model_key, model) -> None:
     _GROUP_PERSISTED[model_key] = tabulated
 
 
-def _execute_group(
-    spec, protocol, n, seed_index, workload_seq, run_seq, backend, capability
-) -> dict:
+def _run_group(spec, protocol, n, sequences, backend) -> dict:
     """Run one cell on the group-count engine (exact lumped count process).
 
     The initial counts come from the protocol's
@@ -951,6 +948,7 @@ def _execute_group(
     """
     from ..core.group_engine import GroupCountSimulator
 
+    workload_seq, run_seq, _ = sequences
     model_key = (spec.identity_seed(), n)
     model = _GROUP_MODELS.get(model_key)
     if model is None:
@@ -996,26 +994,19 @@ def _execute_group(
         converged = len(outcome.milestones) == len(spec.milestone_fractions)
     else:
         converged = outcome.converged
-    row = RunRow(
-        study="",
-        variant=spec.variant,
-        protocol=protocol.name,
-        engine=backend.name,
-        n=n,
-        seed_index=seed_index,
-        converged=converged,
-        interactions=outcome.interactions,
-        resets=0,
-        exactness=capability.exactness,
-        extras={
+    return {
+        "converged": converged,
+        "interactions": outcome.interactions,
+        "resets": 0,
+        "extras": {
             "events": float(outcome.events),
             "distinct_states": float(outcome.distinct_states),
         },
-        milestones={
+        "milestones": {
             name: int(value) for name, value in outcome.milestones.items()
         },
-    )
-    return row.as_dict()
+        "series": {},
+    }
 
 
 def execute_batch(
@@ -1030,10 +1021,8 @@ def execute_batch(
     return [execute_cell(spec_payload, n, int(index)) for index in seed_indices]
 
 
-def _execute_agent_level(
-    spec, protocol, n, seed_index, workload_seq, run_seq, events_seq, backend,
-    capability,
-) -> dict:
+def _run_agent_level(spec, protocol, n, sequences, backend) -> dict:
+    workload_seq, run_seq, events_seq = sequences
     configuration = WORKLOADS[spec.workload](
         protocol, np.random.default_rng(workload_seq), **spec.workload_params
     )
@@ -1139,23 +1128,14 @@ def _execute_agent_level(
                 "values": list(recorded.values),
             }
 
-    row = RunRow(
-        study="",
-        variant=spec.variant,
-        protocol=protocol.name,
-        engine=backend.name,
-        n=n,
-        seed_index=seed_index,
-        converged=row_converged,
-        interactions=interactions,
-        resets=resets,
-        exactness=capability.exactness,
-        topology=spec.topology or "complete",
-        extras=extras,
-        milestones=milestones,
-        series=series,
-    )
-    return row.as_dict()
+    return {
+        "converged": row_converged,
+        "interactions": interactions,
+        "resets": resets,
+        "extras": extras,
+        "milestones": milestones,
+        "series": series,
+    }
 
 
 # ----------------------------------------------------------------------

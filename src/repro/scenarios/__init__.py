@@ -8,9 +8,9 @@ adversarial re-scramble, population churn — fired at specified
 interaction counts.  Scenarios live in a registry mirroring the engine
 backends (:func:`get_scenario` / :func:`register_scenario`), the
 experiment layer's ``workload=`` strings are back-compat aliases for the
-static scenarios, and every engine that answers ``supports_events`` in
-its capability probe runs event-bearing scenarios bit-identically to the
-reference simulator.  See ``docs/scenarios.md`` for the model and the
+static scenarios, and every engine whose capability probe supports
+event-bearing cells runs them bit-identically to the reference
+simulator.  See ``docs/scenarios.md`` for the model and the
 determinism contract.
 """
 

@@ -49,14 +49,6 @@ class TestDenseRepresentation:
         assert lookup1(table, 1, 2) == 6
         assert lookup1(table, 299, 299) == -1
 
-    def test_discard(self):
-        table = ProbeClassTable()
-        table.ensure_capacity(8)
-        table.set(1, 2, 3)
-        assert table.discard(1, 2)
-        assert not table.discard(1, 2)
-        assert lookup1(table, 1, 2) == -1
-
     def test_codes_beyond_capacity_read_unknown(self):
         table = ProbeClassTable()
         table.ensure_capacity(16)
@@ -119,35 +111,11 @@ class TestHashedRepresentation:
             assert lookup1(table, k, 2 * k) == k % 8
         assert table.size == 200
 
-    def test_tombstones_keep_probe_chains_intact(self):
-        # Insert colliding keys, delete one in the middle of the chain,
-        # and verify the later entries still resolve (the tombstone must
-        # not terminate the probe like an empty slot would).
-        table = self.make_hashed(initial_hash_capacity=16)
-        keys = list(range(9))  # load factor 9/16 > 0.5: chains exist
-        for k in keys:
-            table.set(k, 0, k % 8)
-        assert table.discard(4, 0)
-        for k in keys:
-            expected = -1 if k == 4 else k % 8
-            assert lookup1(table, k, 0) == expected
-        # The tombstoned slot is reusable: live count does not leak.
-        size_before = table.size
-        table.set(4, 0, 5)
-        assert lookup1(table, 4, 0) == 5
-        assert table.size == size_before + 1
-
     def test_overwrite_updates_in_place(self):
         table = self.make_hashed()
         table.set(42, 43, 1)
         table.set(42, 43, 6)
         assert lookup1(table, 42, 43) == 6
-        assert table.size == 1
-
-    def test_discard_missing_key_is_false(self):
-        table = self.make_hashed()
-        table.set(1, 2, 3)
-        assert not table.discard(2, 1)
         assert table.size == 1
 
 

@@ -138,14 +138,14 @@ class TestEventCapabilityNegotiation:
             capability = backends.get_backend(name).capabilities(
                 StableRanking(8), "fresh", 8, events=True
             )
-            assert capability.supported and capability.supports_events
+            assert capability.supported
 
     def test_aggregate_backend_rejects_events(self):
         capability = backends.get_backend("aggregate").capabilities(
             SpaceEfficientRanking(8), "figure3", 8, events=True
         )
         assert not capability.supported
-        assert not capability.supports_events
+        assert "mid-run events" in capability.reason
         with pytest.raises(ExperimentError, match="group counts"):
             backends.resolve_backend(
                 SpaceEfficientRanking(8), "figure3", 8,

@@ -241,7 +241,7 @@ class TestStoreAndRoundTrips:
             return original(*args)
 
         monkeypatch.setattr(study_module, "execute_cell", counting)
-        # parallel.run_cells imported execute_cell by name; patch there too.
+        # parallel imports execute_cell by name; patch it there too.
         import repro.experiments.parallel as parallel_module
         monkeypatch.setattr(parallel_module, "execute_cell", counting)
 

@@ -89,7 +89,7 @@ class TestBackendRouting:
                 protocol, "fresh", 16, topology="ring"
             )
             assert not capability.supported
-            assert not capability.supports_topology
+            assert "'ring'" in capability.reason
 
     def test_auto_never_routes_restricted_cells_to_population_level(self):
         # The epidemic is exactly the protocol "auto" loves to hand to
