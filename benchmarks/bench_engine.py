@@ -15,11 +15,9 @@ engine speedups from the recorded timings:
     Both variants measure the *tabulated* steady state — the shared
     :class:`EngineCache` is pre-warmed kernel-less on the same seed, so
     the rounds exercise the warm table path rather than the one-time
-    transition tabulation.  With the kernel attached, the engine's
-    scalar-share dispatch routes these pre-tabulated, loop-bound chunks
-    to the table path (see ``docs/engines.md``), so the two series should
-    track each other; before that fold the kernel side trailed ~3x vs
-    ~5x.
+    transition tabulation.  With the kernel attached, every chunk goes to
+    the kernel first, so the pair between the two series is the kernel's
+    contribution on pre-tabulated slices (see ``docs/engines.md``).
 ``stable_ranking_full_run``
     Complete runs to convergence, one fresh seed per round, with the
     tabulation shared across rounds — the shape of the paper's repeated
@@ -135,8 +133,8 @@ def test_array_engine_stable_ranking_throughput(benchmark):
     The cache is pre-warmed with the kernel *disabled* so the pair cache
     holds the trajectory's tabulation — the same steady state the
     kernel-less variant below measures.  The measured simulator runs with
-    the kernel attached: chunks the cache already covers dispatch to the
-    warm table path, novelty-bearing chunks stay on the kernel.
+    the kernel attached, which takes every chunk first and hands the
+    pairs it declines to the walk or the table path.
     """
     cache = EngineCache()
     ArraySimulator(

@@ -75,7 +75,8 @@ On top of the table mode, a protocol may provide a *struct-of-arrays
 vectorized kernel* (:mod:`repro.core.soa`, enabled with
 ``use_soa_kernel=True``, the default): the kernel consumes exact chunk
 prefixes with column operations — coin-toggle parity, counter chains —
-and hands every pair it cannot prove back to the ordered walk below.
+and hands every pair it cannot prove back to the walk (or, when it
+declines early in a call, the rest of the chunk to the table path).
 This lifts the write-heavy mid-run regime of ``StableRanking`` (where
 nearly every pair toggles a synthetic coin and nothing retires in bulk)
 from the walk's ~0.5 µs/interaction to a few hundredths, while keeping
@@ -488,45 +489,11 @@ class ArraySimulator:
         walk in isolation.
     """
 
-    #: Pairs resolved by the scalar walk after a kernel declines a pair,
-    #: before the kernel is retried — the detour around rare non-fast-path
-    #: events (a rank assignment, a phase bump).  Kept minimal: walked
-    #: pairs in novel states pay the one-time tabulation cost.
-    SOA_WALK_SEGMENT = 1
-    #: Re-entry window after a decline; doubles on every fully consumed
-    #: window so quiet stretches reach whole-chunk calls, while decline
-    #: clusters never pay vector setup for pairs they will not consume.
-    SOA_REENTRY_WINDOW = 512
-    #: Folding the lazy pair cache into the kernel dispatch: a chunk is
-    #: routed to the generic table path — even with a kernel attached —
-    #: when the kernel's *scalar-loop share* for the chunk (its
-    #: ``chunk_scalar_share`` diagnostic, when it provides one) is at
-    #: least this fraction.  The kernel's vectorized wins (coin parity,
-    #: bulk class handling) vanish in regimes where nearly every pair
-    #: runs its ordered scalar chain loop; there a pre-tabulated pair
-    #: costs less as a warm dictionary probe on the walk than as another
-    #: loop iteration plus commit.  Measured on ``StableRanking`` n=128:
-    #: the share sits near 1.0 during the early counter-churn and at
-    #: 0.01-0.15 for the rest of the run, so 0.5 cleanly separates the
-    #: regimes.
-    SOA_DISPATCH_SCALAR_SHARE = 0.5
-    #: ...but only when the chunk probe confirms the pair cache has seen
-    #: the regime: chunks whose share of untabulated chunk-start pairs is
-    #: at or above this fraction stay on the kernel, which exists
-    #: precisely to keep novel pairs away from the µs-scale tabulation.
-    #: The probe is conservative — in write-heavy regimes chunk-start
-    #: codes mispredict the walked pair stream, so a fully pre-tabulated
-    #: replay still reads 10-70% "novel" while genuinely novelty-bound
-    #: regimes read 85-100% — hence the high cut.
-    SOA_TABLE_DISPATCH_NOVELTY = 0.8
-    #: Consecutive nearly-empty kernel calls before the engine temporarily
-    #: stops trying the kernel (regimes like start-up leader election,
-    #: where every pair is outside the fast path).
-    SOA_STRIKE_LIMIT = 4
-    #: Kernel calls count as a strike only below this yield.
+    #: A kernel call that declines after fewer pairs than this hands the
+    #: rest of the chunk to the table path instead of walking the declined
+    #: pair and calling the kernel again (regimes like start-up leader
+    #: election, where nearly every pair is outside the fast path).
     SOA_STRIKE_YIELD = 16
-    #: Chunks processed entirely by the generic paths after striking out.
-    SOA_BACKOFF_CHUNKS = 4
 
     def __init__(
         self,
@@ -602,8 +569,6 @@ class ArraySimulator:
         self._soa: Optional[VectorizedKernel] = None
         self._soa_columns: Optional[ColumnStore] = None
         self._soa_interactions = 0
-        self._soa_strikes = 0
-        self._soa_backoff = 0
         if use_soa_kernel and self._mode == "lazy":
             soa = self._cache.soa_kernel
             if soa is None:
@@ -924,51 +889,29 @@ class ArraySimulator:
         return the number of pairs executed.
 
         With a protocol-provided :class:`~repro.core.soa.VectorizedKernel`
-        attached, the kernel consumes a maximal exact prefix of the chunk
-        in column operations and takes the metric snapshots due inside it;
-        the first pair it declines (and a bounded segment after it) is
-        resolved by the generic probe-and-walk path, then the kernel is
-        retried on the remainder.  Kernel-hostile regimes (start-up leader
-        election, reset storms) are detected by a strike counter and
-        processed generically for a few chunks before the kernel is
-        retried.  The generic paths stop at the next snapshot, and a
-        demotion to the object path ends the call, so the prefix can be
-        shorter than the chunk.
+        attached, the kernel consumes a maximal exact prefix of the rest of
+        the chunk in column operations and takes the metric snapshots due
+        inside it.  When it declines a pair after fewer than
+        :attr:`SOA_STRIKE_YIELD` pairs, the rest of the chunk runs on the
+        table path; otherwise :meth:`_walk` resolves the declined pair and
+        the kernel is called again.  The table path stops at the next
+        snapshot, and a walk that demotes the engine to the object path
+        ends the call, so the prefix can be shorter than the chunk.
         """
         if self._soa is None:
             return self._tables_to_stop(pairs)
-        if self._soa_backoff > 0:
-            self._soa_backoff -= 1
-            return self._tables_to_stop(pairs)
-        share_probe = getattr(self._soa, "chunk_scalar_share", None)
-        if share_probe is not None:
-            # Fold the lazy pair cache into the kernel dispatch: in
-            # scalar-loop-bound regimes, chunks the cache has mostly seen
-            # before run faster on the warm table path than in the
-            # kernel's chains, so the kernel keeps only the novelty-heavy
-            # chunks (where walking would mean tabulating).
-            share = share_probe(self._codes_np[pairs[:, 1]], self._soa_columns)
-            if share >= self.SOA_DISPATCH_SCALAR_SHARE:
-                classes = self._kernel.probe_class(
-                    self._codes_np[pairs[:, 0]], self._codes_np[pairs[:, 1]]
-                )
-                novel = int(np.count_nonzero(classes == -1))
-                if novel < self.SOA_TABLE_DISPATCH_NOVELTY * len(pairs):
-                    return self._tables_to_stop(pairs, classes)
         # The column store may be shared with other simulators on the same
         # cache: (re-)bind our live population before handing it over.
         self._soa_columns.bind(self._codes_np, self._code_list)
         total = len(pairs)
         start = 0
-        window = total
         while start < total:
-            end = min(start + window, total)
             outcome = self._soa.apply_chunk(
-                pairs[start:end, 0],
-                pairs[start:end, 1],
+                pairs[start:, 0],
+                pairs[start:, 1],
                 self._soa_columns,
                 self._scheduler.rng,
-                stops=self._kernel_stops(end - start),
+                stops=self._kernel_stops(total - start),
                 on_stop=self._record_kernel_stop,
             )
             processed = outcome.processed
@@ -981,72 +924,28 @@ class ArraySimulator:
                     self._changed_since_check = True
                 start += processed
             if start >= total:
-                self._soa_strikes = 0
-                return total
-            if start >= end:
-                # The window was fully consumed without a decline; grow it
-                # back toward whole-chunk calls.  A full window is a
-                # productive call, so it also clears the strike count.
-                self._soa_strikes = 0
-                window = min(window * 2, total)
-                continue
-            # The kernel declined the pair at ``start``: score the attempt,
-            # walk a short segment past the offending pair, then re-enter
-            # on a reduced window.
-            if processed >= self.SOA_STRIKE_YIELD:
-                self._soa_strikes = 0
-            else:
-                self._soa_strikes += 1
-                if self._soa_strikes >= self.SOA_STRIKE_LIMIT:
-                    self._soa_strikes = 0
-                    self._soa_backoff = self.SOA_BACKOFF_CHUNKS
-                    return start + self._tables_to_stop(pairs[start:])
-            segment_end = start + self._until_stop(
-                min(self.SOA_WALK_SEGMENT, total - start)
-            )
-            self._walk(
-                pairs[start:segment_end, 0].tolist(),
-                pairs[start:segment_end, 1].tolist(),
-            )
-            start = segment_end
+                break
+            if processed < self.SOA_STRIKE_YIELD:
+                return start + self._tables_to_stop(pairs[start:])
+            self._walk([int(pairs[start, 0])], [int(pairs[start, 1])])
+            start += 1
             self._record_due()
             if self._mode == "object":
-                # The segment demoted the engine mid-chunk (its own tail
-                # already ran on the object path); the rest of the chunk
-                # goes back to the buffer for the object path.
+                # The walk demoted the engine (the declined pair already
+                # ran on the object path); the rest of the chunk goes back
+                # to the buffer for the object path.
                 return start
-            # Extend the segment over pairs the pair cache already holds:
-            # each costs one warm dictionary probe, cheaper than another
-            # kernel re-entry, and never tabulates.
-            while start < total:
-                bound = start + self._until_stop(total - start)
-                walked = self._walk(
-                    pairs[start:bound, 0].tolist(),
-                    pairs[start:bound, 1].tolist(),
-                    tabulate=False,
-                )
-                start += walked
-                self._record_due()
-                if start < bound:
-                    break
-            window = self.SOA_REENTRY_WINDOW
         return total
 
-    def _tables_to_stop(
-        self, pairs: np.ndarray, classes: Optional[np.ndarray] = None
-    ) -> int:
+    def _tables_to_stop(self, pairs: np.ndarray) -> int:
         """Run ``pairs`` on the table path up to the next metric snapshot,
         record it, and return the number of pairs executed."""
         count = self._until_stop(len(pairs))
-        self._process_chunk_tables(
-            pairs[:count], None if classes is None else classes[:count]
-        )
+        self._process_chunk_tables(pairs[:count])
         self._record_due()
         return count
 
-    def _process_chunk_tables(
-        self, pairs: np.ndarray, classes: Optional[np.ndarray] = None
-    ) -> None:
+    def _process_chunk_tables(self, pairs: np.ndarray) -> None:
         """Execute a chunk of pairs with exact sequential semantics.
 
         Optimistic elimination with walk-time validation: the volatile set
@@ -1067,13 +966,11 @@ class ArraySimulator:
         agents_r = pairs[:, 1]
         codes_np = self._codes_np
 
-        # Probe the whole chunk against the current codes (unless the
-        # kernel dispatch already did).  Unknown pairs are NOT tabulated
-        # here — their operands may still change before their turn; they
-        # read as "writes both agents" (all class bits set) and the walk
-        # resolves them against settled codes.
-        if classes is None:
-            classes = self._kernel.probe_class(codes_np[agents_i], codes_np[agents_r])
+        # Probe the whole chunk against the current codes.  Unknown pairs
+        # are NOT tabulated here — their operands may still change before
+        # their turn; they read as "writes both agents" (all class bits
+        # set) and the walk resolves them against settled codes.
+        classes = self._kernel.probe_class(codes_np[agents_i], codes_np[agents_r])
 
         volatile = np.zeros(self._n, dtype=bool)
         volatile[agents_i[(classes & _CLS_WRITES_U) != 0]] = True
@@ -1190,20 +1087,16 @@ class ArraySimulator:
         # Pairs still marked safe survived validation: exact no-ops.
         self._interactions += int(np.count_nonzero(safe))
 
-    def _walk(self, ai: List[int], ar: List[int], tabulate: bool = True) -> int:
-        """In-order walk of pairs with nothing retired; returns pairs consumed.
+    def _walk(self, ai: List[int], ar: List[int]) -> None:
+        """In-order walk of pairs with nothing retired.
 
         Same semantics as the validated walk in
         :meth:`_process_chunk_tables`, but with no elimination to protect
         there is no reactivation bookkeeping, which makes the
         per-interaction loop measurably tighter — this is the hot path of
         the write-heavy early phase.  A pair whose current state pair the
-        cache does not hold is tabulated when ``tabulate`` is set (a
-        transition that draws randomness demotes the engine, and the
-        object path runs the rest).  Without it the walk stops in front of
-        that pair, so every step is a warm dictionary probe and the walk
-        can never tabulate or demote; kernel-decline segments extend this
-        way, handing the stopping pair back to the kernel.
+        cache does not hold is tabulated; a transition that draws
+        randomness demotes the engine, and the object path runs the rest.
         """
         codes = self._code_list
         get = self._kernel.pair_dict.get
@@ -1220,8 +1113,6 @@ class ArraySimulator:
                 b = codes[j]
                 value = get((a << _CODE_BITS) | b)
                 if value is None:
-                    if not tabulate:
-                        break
                     value = evaluate((a << _CODE_BITS) | b)
                 next_a = value & _CODE_MASK
                 if next_a != a:
@@ -1250,8 +1141,6 @@ class ArraySimulator:
             self._changed_since_check = True
         if demoted:
             self._demote_to_object(ai[walked:], ar[walked:])
-            return len(ai)
-        return walked
 
     def _reactivate(self, agent, position, order, cursor, safe, agents_i, agents_r):
         """A walked pair wrote an agent assumed stable: re-walk its pairs.
@@ -1283,7 +1172,7 @@ class ArraySimulator:
     #: keep whatever the rewound block added.
     _BLOCK_STATE = (
         "_interactions", "_rank_assignments", "_resets",
-        "_soa_interactions", "_soa_strikes", "_soa_backoff",
+        "_soa_interactions",
         "_changed_since_check", "_pair_cursor",
         "_mode", "_kernel", "_soa", "_soa_columns",
     )

@@ -40,15 +40,14 @@ trigger), a leader election won (the agent enters the main protocol), an
 agent of either domain meeting the other domain (joins and infections of
 main agents), any agent outside the five pure state classes, duplicate
 ranks, duplicate waiting agents.  Those pairs are resolved exactly by the
-engine's validated ordered walk, after which the kernel resumes.  They are
-not rare: over 16 figure2 cells (n = 64, 50 n² interactions each) the
-kernel executes 93% of the interactions, and the walk and table paths
-take the other 7% — the start-up, every rank assignment and reset, and
-the chunks the engine routes to its pair cache.  Everything the kernel
-*does* commit is
-bit-identical to the reference simulator, including the ``changed`` flag
-driving convergence checks and the ``resets`` counter (countdown-expiry
-resets are executed inline and counted).
+engine's walk (or its table path, when the kernel declines early in a
+call), after which the kernel resumes.  They are not rare: over 16
+figure2 cells (n = 64, 50 n² interactions each) the kernel executes
+98.5% of the interactions, and the walk and table paths take the other
+1.5% — the start-up and every rank assignment and reset.  Everything the kernel
+*does* commit is bit-identical to the reference simulator, including the
+``changed`` flag driving convergence checks and the ``resets`` counter
+(countdown-expiry resets are executed inline and counted).
 
 Classification happens per *state code*, once, when the code first
 appears; chunk-time classification is a handful of gathers over
@@ -249,24 +248,6 @@ class StableRankingKernel:
     def columns(self) -> Tuple[str, ...]:
         return _FIELDS
 
-    def chunk_scalar_share(self, code_v: np.ndarray, columns: ColumnStore) -> float:
-        """Fraction of a chunk that would run the ordered scalar loop.
-
-        A pair enters the loop when its responder carries a synthetic coin
-        (every pure class but ranked), so this is one per-code gather over
-        the responder codes.  The engine consults it before handing a
-        chunk over: in loop-bound regimes (measured ≥ 0.5 only during the
-        early counter-churn, ≤ 0.15 mid-run) the kernel has no vectorized
-        win left and pre-tabulated chunks are cheaper on the warm
-        table-path walk.
-        """
-        if not len(code_v):
-            return 0.0
-        self._refresh(columns)
-        return float(
-            np.count_nonzero(_HAS_COIN[self._kind[code_v]]) / len(code_v)
-        )
-
     def _refresh(self, store: ColumnStore) -> None:
         """Classify codes interned since the last call."""
         size = store.refresh()
@@ -344,7 +325,7 @@ class StableRankingKernel:
     def _sync_agents(self, codes: np.ndarray) -> None:
         """Bring the per-agent field shadow in line with the live codes.
 
-        Agents whose code changed outside the kernel (walk segments, table
+        Agents whose code changed outside the kernel (walked pairs, table
         chunks) are found by comparing against the snapshot taken at the
         last sync; only those entries are re-projected.  The shadow of a
         committed agent always equals its current code's projection, so

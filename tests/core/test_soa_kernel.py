@@ -287,15 +287,45 @@ class LateRandomWithKernel(PopulationProtocol):
 
 
 class TestKernelEngineIntegration:
-    def test_declining_kernel_with_mid_run_demotion(self):
+    def test_declining_kernel_with_mid_run_demotion(self, monkeypatch):
         """A kernel that declines everything must not disturb the walk,
-        the demotion to the object path, or same-seed equality."""
+        the demotion to the object path, or same-seed equality.
+
+        It declines after fewer than ``SOA_STRIKE_YIELD`` pairs, so every
+        chunk is offered to it exactly once and then runs whole on the
+        table path.
+        """
+        chunks, kernel_calls, tabled = [], [], []
+        apply_chunk = _DecliningKernel.apply_chunk
+        process_chunk = ArraySimulator._process_chunk
+        tables_to_stop = ArraySimulator._tables_to_stop
+
+        def counted_apply(self, initiators, *args, **kwargs):
+            kernel_calls.append(len(initiators))
+            return apply_chunk(self, initiators, *args, **kwargs)
+
+        def counted_chunk(self, pairs):
+            chunks.append(len(pairs))
+            return process_chunk(self, pairs)
+
+        def counted_tables(self, pairs):
+            tabled.append(len(pairs))
+            return tables_to_stop(self, pairs)
+
+        monkeypatch.setattr(_DecliningKernel, "apply_chunk", counted_apply)
+        monkeypatch.setattr(ArraySimulator, "_process_chunk", counted_chunk)
+        monkeypatch.setattr(ArraySimulator, "_tables_to_stop", counted_tables)
         n, seed = 16, 5
+        # Snapshots every 100 interactions end each table-path call, so
+        # the engine offers the kernel many chunks before it demotes.
+        probes = {"aux": lambda config: sum(s.aux or 0 for s in config.states)}
         reference = Simulator(
-            LateRandomWithKernel(n), random_state=seed, convergence_interval=n
+            LateRandomWithKernel(n), random_state=seed, convergence_interval=n,
+            metrics=MetricsCollector(probes, interval=100),
         )
         array = ArraySimulator(
-            LateRandomWithKernel(n), random_state=seed, convergence_interval=n
+            LateRandomWithKernel(n), random_state=seed, convergence_interval=n,
+            metrics=MetricsCollector(probes, interval=100),
         )
         assert array.mode == "lazy"
         assert array.soa_kernel is not None
@@ -305,6 +335,10 @@ class TestKernelEngineIntegration:
         assert array.soa_kernel is None  # demotion drops the kernel
         assert actual.interactions == expected.interactions
         assert states_of(actual) == states_of(expected)
+        assert actual.metrics["aux"].values == expected.metrics["aux"].values
+        assert len(chunks) > 1
+        assert kernel_calls == chunks
+        assert tabled == chunks
 
     def test_column_store_projection_and_variant(self):
         protocol = StableRanking(8)
@@ -341,7 +375,7 @@ class TestSnapshotStops:
         """A figure2 cell's 240 snapshots ride inside the kernel's chunks.
 
         The cell (n=64, 50 n² interactions, 240-sample collector, cadence
-        n) makes 186 ``apply_chunk`` calls.  Cutting the chunks at every
+        n) makes 164 ``apply_chunk`` calls.  Cutting the chunks at every
         snapshot took 370: one more kernel call, with its full vector
         setup, per snapshot that falls inside a chunk.
         """

@@ -11,6 +11,9 @@ pin the remaining ways a cell reaches its row, each through ``Study.run``:
   ``topology`` field (the complete baseline rides along);
 * ``figure3-array``: Figure 3 on the array engine, the agent-level
   ``run_until`` milestone loop;
+* ``faults-array``: ``fault_injection`` cells on the array engine, whose
+  corrupted starts send the most chunks between the SoA kernel and the
+  table path;
 * ``extractors``: a spec with every extractor;
 * ``series-reference``: a reference cell with metric series that runs on
   past convergence (``stop_on_convergence=False``).
@@ -25,6 +28,7 @@ import json
 
 import pytest
 
+from repro.experiments.fault_injection import fault_injection_specs
 from repro.experiments.fault_storm import fault_storm_specs
 from repro.experiments.figure3 import figure3_specs
 from repro.experiments.study import EXTRACTORS, ExperimentSpec, Study
@@ -43,6 +47,8 @@ def case_specs(case):
         )
     if case == "figure3-array":
         return figure3_specs(n_values=(32,), repetitions=2, engine="array")
+    if case == "faults-array":
+        return fault_injection_specs(n_values=(32,), repetitions=2, engine="array")
     if case == "extractors":
         return (
             ExperimentSpec(
@@ -116,6 +122,44 @@ GOLDEN = {
             ['converged_initial', 'event1_recovered', 'event2_recovered'],
             ['events_fired', 'events_recovered', 'mean_recovery_interactions'],
             '07d194eb002fd634f1547d4d3a191b217066db852ba62ae9545e15b3ac5deb34',
+        ),
+    },
+    'faults-array': {
+        ('adversarial', 32, 0): (
+            'array', 'complete', True, 42880, 1,
+            [],
+            [],
+            'd22e93fad83645d34812ea76f05c6837a43503f003e814b44849ef591205450d',
+        ),
+        ('adversarial', 32, 1): (
+            'array', 'complete', True, 46784, 2,
+            [],
+            [],
+            '1e0df80e4834c91dbb97a70e814926971a39aca48af1a9a1891dc9e8b14ae9af',
+        ),
+        ('duplicate_rank', 32, 0): (
+            'array', 'complete', True, 45472, 4,
+            [],
+            [],
+            'be0bb0c42fb632628771290a5dbd7370ee8d422e1ae97f1bbe0104d9a9412e22',
+        ),
+        ('duplicate_rank', 32, 1): (
+            'array', 'complete', True, 49536, 1,
+            [],
+            [],
+            '0c53f6c46d99dac71e89fe8e287723e75a1469585195327951559cca2f36cac1',
+        ),
+        ('missing_rank', 32, 0): (
+            'array', 'complete', True, 30432, 2,
+            [],
+            [],
+            'a16c90b4b66760d4e948cb6d8f1d458680ec3342c82347f82fa04e6dbd9e1143',
+        ),
+        ('missing_rank', 32, 1): (
+            'array', 'complete', True, 47008, 5,
+            [],
+            [],
+            'dcd900d39870458acd8fd9fd07e9db6b66d4429ee1b66584b6ee89ee318ca46e',
         ),
     },
     'ring': {

@@ -3,7 +3,9 @@
 Theorem 1 bounds the stabilization time of ``SpaceEfficientRanking`` by
 ``O(n² log n)`` interactions.  The ``scaling`` preset measures it on the
 exact aggregate engine; if the bound is tight, the per-``n`` mean of
-``interactions / (n² log₂ n)`` stays flat across the n-ladder.
+``interactions / (n² log₂ n)`` stays flat across the n-ladder.  Theorem 2
+gives ``StableRanking`` the same ``O(n² log n)`` bound, checked the same
+way on the array engine at the study cadence.
 
 Theorem 2 bounds ``StableRanking``'s state count by ``n + O(log² n)``,
 and every deterministic protocol declares its count in
@@ -40,6 +42,16 @@ from repro.topologies import build_topology
 #: 4.039, 3.983, 3.961, 4.060 and 3.922: a ratio of 1.035.
 THEOREM1_FLATNESS = 1.15
 
+#: Largest allowed max/min ratio of StableRanking's per-n normalized means
+#: over n = 32, 64, 128 (seeds 0-11, cadence n): the means are 8.269,
+#: 9.008 and 8.117, a ratio of 1.110.  n = 16 is left out: its mean sits
+#: well above the others (10.9 against 8-9), as the additive start-up
+#: (leader election, the first phase waves) is not yet small against
+#: n² log₂ n there.
+THEOREM2_FLATNESS = 1.25
+THEOREM2_N = (32, 64, 128)
+THEOREM2_SEEDS = range(12)
+
 #: Two-sided significance level of the epidemic z-tests.
 ALPHA = 0.001
 EPIDEMIC_RUNS = 300
@@ -57,6 +69,24 @@ def test_theorem1_normalized_stabilization_time_is_flat_in_n(tmp_path):
             row.interactions / (n * n * math.log2(n)) for row in rows
         )
     assert max(normalized.values()) / min(normalized.values()) <= THEOREM1_FLATNESS, (
+        normalized
+    )
+
+
+def test_theorem2_normalized_stabilization_time_is_flat_in_n():
+    normalized = {}
+    for n in THEOREM2_N:
+        cache = EngineCache()
+        times = []
+        for seed in THEOREM2_SEEDS:
+            result = ArraySimulator(
+                StableRanking(n), random_state=seed, convergence_interval=n,
+                cache=cache,
+            ).run(max_interactions=400 * n * n)
+            assert result.converged, (n, seed)
+            times.append(result.interactions)
+        normalized[n] = mean(times) / (n * n * math.log2(n))
+    assert max(normalized.values()) / min(normalized.values()) <= THEOREM2_FLATNESS, (
         normalized
     )
 
