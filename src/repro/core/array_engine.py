@@ -805,30 +805,19 @@ class ArraySimulator:
         """Simulate exactly ``count`` further interactions.
 
         Metric snapshots that fall due on the way are recorded on their
-        exact interaction: the SoA kernel takes them inside its chunks,
-        the table and object paths run up to each one and record it there.
-        Pairs a path hands back (a demotion, a snapshot stop) return to the
-        buffer for the next round.
+        exact interaction: the SoA kernel and the object path take them
+        inside their chunks (the shared stops contract of
+        :meth:`_snapshot_stops`), the table path runs up to each one and
+        records it there.  Pairs a path hands back (a demotion, a snapshot
+        stop) return to the buffer for the next round.
         """
         end = self._interactions + count
         while self._interactions < end:
             if self._mode == "object":
-                self._advance_object(self._until_stop(end - self._interactions))
-                self._record_due()
+                self._advance_object(end - self._interactions)
                 continue
             pairs = self._next_pairs(end - self._interactions)
             self._pair_cursor -= len(pairs) - self._process_chunk(pairs)
-
-    def _until_stop(self, count: int) -> int:
-        """``count``, or fewer interactions if a metric snapshot falls due
-        on the way.
-
-        A snapshot overdue at the current interaction is taken after the
-        next one, as the reference's per-step ``maybe_record`` takes it.
-        """
-        if self._metrics is None:
-            return count
-        return min(count, max(self._metrics.next_due - self._interactions, 1))
 
     def _record_due(self) -> None:
         """Record the metric snapshot due at the current interaction."""
@@ -836,17 +825,23 @@ class ArraySimulator:
         if metrics is not None and self._interactions >= metrics.next_due:
             metrics.record(self._interactions, self._view_configuration())
 
-    def _kernel_stops(self, count: int) -> range:
-        """Offsets of the snapshots due in the next ``count`` interactions."""
+    def _snapshot_stops(self, count: int) -> range:
+        """Offsets of the snapshots due in the next ``count`` interactions,
+        the ``stops`` of :meth:`VectorizedKernel.apply_chunk` and
+        :func:`apply_pairs`.
+
+        A snapshot overdue at the current interaction is taken after the
+        next one, as the reference's per-step ``maybe_record`` takes it.
+        """
         metrics = self._metrics
         if metrics is None:
             return range(0)
         first = max(metrics.next_due - self._interactions, 1)
         return range(first, count + 1, metrics.interval)
 
-    def _record_kernel_stop(self, offset: int) -> None:
-        """``on_stop`` for the SoA kernel: the chunk starts at the current
-        interaction until the kernel returns."""
+    def _record_stop(self, offset: int) -> None:
+        """``on_stop`` for :meth:`_snapshot_stops`: the chunk starts at the
+        current interaction until the kernel or stepping loop returns."""
         self._metrics.record(
             self._interactions + offset, self._view_configuration()
         )
@@ -873,10 +868,12 @@ class ArraySimulator:
         self, initiators: List[int], responders: List[int]
     ) -> None:
         """Object-path execution of explicit pairs, through the reference
-        engine's stepping loop."""
-        ranks, resets, changed = apply_pairs(
+        engine's stepping loop, snapshots included."""
+        _, ranks, resets, changed = apply_pairs(
             self._protocol.transition, self._configuration.states,
             self._scheduler.rng, initiators, responders,
+            stops=self._snapshot_stops(len(initiators)),
+            on_stop=self._record_stop,
         )
         self._interactions += len(initiators)
         self._rank_assignments += ranks
@@ -911,8 +908,8 @@ class ArraySimulator:
                 pairs[start:, 1],
                 self._soa_columns,
                 self._scheduler.rng,
-                stops=self._kernel_stops(total - start),
-                on_stop=self._record_kernel_stop,
+                stops=self._snapshot_stops(total - start),
+                on_stop=self._record_stop,
             )
             processed = outcome.processed
             if processed:
@@ -940,7 +937,10 @@ class ArraySimulator:
     def _tables_to_stop(self, pairs: np.ndarray) -> int:
         """Run ``pairs`` on the table path up to the next metric snapshot,
         record it, and return the number of pairs executed."""
-        count = self._until_stop(len(pairs))
+        count = len(pairs)
+        metrics = self._metrics
+        if metrics is not None:
+            count = min(count, max(metrics.next_due - self._interactions, 1))
         self._process_chunk_tables(pairs[:count])
         self._record_due()
         return count

@@ -14,7 +14,9 @@ helpers is that states expose a ``rank`` attribute (``None`` when unranked).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Generic, Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import (
+    Callable, Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from .errors import ConfigurationError
 from .state import AgentState, Role, classify_role
@@ -160,6 +162,29 @@ class Configuration(Generic[S]):
         if not phases:
             return 0.0
         return sum(phases) / len(phases)
+
+    def ranking_summary(self) -> Tuple[int, float, int]:
+        """``(ranked_count(), average_phase(), len(duplicate_ranks()))`` in
+        one pass over the states.
+
+        The Figure 2 probes read all three at every metric snapshot (see
+        :func:`~repro.core.metrics.standard_ranking_probes`).
+        """
+        ranks = []
+        phase_total = phase_agents = 0
+        for state in self._states:
+            rank = getattr(state, "rank", None)
+            if rank is not None:
+                ranks.append(rank)
+            phase = getattr(state, "phase", None)
+            if phase is not None:
+                phase_total += phase
+                phase_agents += 1
+        duplicates = 0
+        if len(set(ranks)) != len(ranks):
+            duplicates = sum(1 for held in Counter(ranks).values() if held > 1)
+        average = phase_total / phase_agents if phase_agents else 0.0
+        return len(ranks), average, duplicates
 
     # ------------------------------------------------------------------
     # Generic summarization

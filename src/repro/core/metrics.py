@@ -3,9 +3,15 @@
 Experiments such as the paper's Figure 2 need time series of configuration
 statistics ("number of ranked agents", "average phase of unranked agents")
 sampled on a fixed interaction schedule.  :class:`MetricsCollector` owns a
-set of named probes, a sampling interval and the recorded series; the
-simulator calls :meth:`MetricsCollector.maybe_record` after every interaction
-and the collector decides whether a snapshot is due.
+set of named probes, a sampling interval and the recorded series.  The
+schedule is defined per interaction (:meth:`MetricsCollector.maybe_record`
+after every step); the engines read :attr:`MetricsCollector.next_due` and
+:meth:`~MetricsCollector.record` each snapshot on exactly that interaction
+without stopping their stepping loops there.
+
+Probes that read several statistics of one pass over the states share it
+through :class:`SummaryProbe`: the collector evaluates each summary once
+per snapshot, however many probes read it.
 """
 
 from __future__ import annotations
@@ -15,9 +21,30 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .configuration import Configuration
 
-__all__ = ["MetricsCollector", "TimeSeries", "standard_ranking_probes"]
+__all__ = [
+    "MetricsCollector", "SummaryProbe", "TimeSeries", "standard_ranking_probes",
+]
 
 Probe = Callable[[Configuration], float]
+
+
+class SummaryProbe:
+    """A probe that reads entry ``index`` of ``summary(configuration)``.
+
+    Called on its own it evaluates the summary; a :class:`MetricsCollector`
+    evaluates each distinct summary once per snapshot and hands every
+    probe built on it its entry.
+    """
+
+    __slots__ = ("summary", "index")
+
+    def __init__(self, summary: Callable[[Configuration], Sequence[float]],
+                 index: int):
+        self.summary = summary
+        self.index = index
+
+    def __call__(self, configuration: Configuration) -> float:
+        return float(self.summary(configuration)[self.index])
 
 
 @dataclass
@@ -67,6 +94,18 @@ class MetricsCollector:
         self._series: Dict[str, TimeSeries] = {
             name: TimeSeries(name) for name in self._probes
         }
+        # Each distinct summary is evaluated once per snapshot; a series
+        # reads its probe, or entry ``index`` of summary number ``slot``.
+        self._summaries = list(dict.fromkeys(
+            probe.summary for probe in self._probes.values()
+            if isinstance(probe, SummaryProbe)
+        ))
+        self._readers = [
+            (self._series[name], None, self._summaries.index(probe.summary),
+             probe.index) if isinstance(probe, SummaryProbe)
+            else (self._series[name], probe, None, None)
+            for name, probe in self._probes.items()
+        ]
         self._next_due = 0
 
     @property
@@ -91,8 +130,11 @@ class MetricsCollector:
 
     def record(self, interaction: int, configuration: Configuration) -> None:
         """Force a snapshot at ``interaction`` regardless of the schedule."""
-        for name, probe in self._probes.items():
-            self._series[name].append(interaction, float(probe(configuration)))
+        summaries = [summary(configuration) for summary in self._summaries]
+        for series, probe, slot, index in self._readers:
+            value = probe(configuration) if slot is None else summaries[slot][index]
+            series.interactions.append(interaction)
+            series.values.append(float(value))
         self._next_due = interaction + self._interval
 
     def checkpoint(self) -> tuple:
@@ -140,11 +182,15 @@ def standard_ranking_probes() -> Dict[str, Probe]:
         ``ranked_agents``: number of agents holding a rank.
         ``average_phase``: mean phase counter of unranked phase agents.
         ``duplicate_ranks``: number of distinct ranks held more than once.
+
+        All three read :meth:`Configuration.ranking_summary`, one pass over
+        the states per snapshot.
     """
+    summary = Configuration.ranking_summary
     return {
-        "ranked_agents": lambda config: float(config.ranked_count()),
-        "average_phase": lambda config: float(config.average_phase()),
-        "duplicate_ranks": lambda config: float(len(config.duplicate_ranks())),
+        "ranked_agents": SummaryProbe(summary, 0),
+        "average_phase": SummaryProbe(summary, 1),
+        "duplicate_ranks": SummaryProbe(summary, 2),
     }
 
 

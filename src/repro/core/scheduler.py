@@ -120,6 +120,15 @@ class PairScheduler:
         self._cursor = stop
         return self._initiators[cursor:stop], self._responders[cursor:stop]
 
+    def put_back(self, count: int) -> None:
+        """Return the last ``count`` pairs of the latest :meth:`take` to
+        the buffer, so the next call reads them again.
+
+        ``count`` must not exceed the pairs that :meth:`take` returned,
+        and nothing may read the stream in between.
+        """
+        self._cursor -= count
+
     def pairs(self) -> Iterator[Tuple[int, int]]:
         """Infinite iterator over ordered pairs."""
         while True:

@@ -10,16 +10,17 @@ The simulator is the ground truth against which the faster engines
 :mod:`repro.protocols.ranking`) are validated.  It favours clarity over raw
 speed, but still amortizes pair sampling through the scheduler's chunked
 sampling, steps in blocks through :func:`apply_pairs` (the one
-agent-level stepping loop, shared with the array engine's object path) and
-checks convergence only periodically (convergence checks are ``O(n)``;
-checking after every interaction would dominate the runtime).
+agent-level stepping loop, shared with the array engine's object path),
+takes metric snapshots inside those blocks and checks convergence only
+periodically (convergence checks are ``O(n)``; checking after every
+interaction would dominate the runtime).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Callable, Dict, Optional, Tuple
+from itertools import count, islice
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .configuration import Configuration
 from .errors import SimulationLimitExceeded, check_budget
@@ -32,29 +33,61 @@ __all__ = ["Simulator", "SimulationResult", "apply_pairs", "segmented_run"]
 
 
 def apply_pairs(
-    transition, states, rng, initiators, responders, position=0, on_event=None
-) -> Tuple[int, int, bool]:
+    transition,
+    states,
+    rng,
+    initiators,
+    responders,
+    position: int = 0,
+    on_event=None,
+    stops: Sequence[int] = (),
+    on_stop: Optional[Callable[[int], None]] = None,
+    until_change: bool = False,
+) -> Tuple[int, int, int, bool]:
     """The agent-level stepping loop: apply ``zip(initiators, responders)``
     in order to the live ``states`` through the protocol's ``transition``.
 
     Pair ``k`` is interaction ``position + k + 1``; ``on_event`` gets
     ``(interaction, initiator, responder, result)`` for each transition
-    that reported a change.  Returns how many transitions assigned a rank,
+    that reported a change.
+
+    ``stops`` and ``on_stop`` are the snapshot contract of
+    :meth:`~repro.core.soa.VectorizedKernel.apply_chunk`: ``stops`` are
+    sorted offsets in ``1..len(initiators)``, and ``on_stop(s)`` runs once
+    the first ``s`` pairs are applied, before pair ``s``.  With
+    ``until_change`` the loop also stops right after the first transition
+    that reports a change, once that pair's ``on_event`` (and the
+    ``on_stop`` of a stop right after it) ran.
+
+    Returns how many pairs were applied, how many of them assigned a rank,
     how many triggered a reset, and whether any reported a change.
     """
     rank_assignments = resets = 0
     changed = False
-    for interaction, i, j in zip(count(position + 1), initiators, responders):
-        result = transition(states[i], states[j], rng)
-        if result.rank_assigned is not None:
-            rank_assignments += 1
-        if result.reset_triggered:
-            resets += 1
-        if result.changed:
-            changed = True
-            if on_event is not None:
-                on_event(interaction, i, j, result)
-    return rank_assignments, resets, changed
+    pairs = zip(count(position + 1), initiators, responders)
+    done = 0
+    for stop in (*stops, None):
+        for interaction, i, j in pairs if stop is None else islice(
+            pairs, stop - done
+        ):
+            result = transition(states[i], states[j], rng)
+            if result.rank_assigned is not None:
+                rank_assignments += 1
+            if result.reset_triggered:
+                resets += 1
+            if result.changed:
+                changed = True
+                if on_event is not None:
+                    on_event(interaction, i, j, result)
+                if until_change:
+                    done = interaction - position
+                    if done == stop:
+                        on_stop(stop)
+                    return done, rank_assignments, resets, changed
+        if stop is not None:
+            on_stop(stop)
+            done = stop
+    return len(initiators), rank_assignments, resets, changed
 
 
 def segmented_run(
@@ -310,37 +343,52 @@ class Simulator:
             self._on_event(self._interactions, initiator_index, responder_index, result)
         return result
 
-    def _advance_to(self, target: int) -> bool:
+    def _advance_to(self, target: int, until_change: bool = False) -> bool:
         """Step to interaction ``target`` exactly as :meth:`step` plus a
         per-step ``maybe_record`` would; return whether any transition
         reported a change.
 
-        Blocks end at ``target``, at each metric snapshot falling due and
-        at the end of the scheduler's buffer.  A one-pair block (a check
-        cadence of 1, say) is a plain :meth:`step`, which costs less than
-        setting up a block.
+        Blocks end at ``target`` and at the end of the scheduler's buffer
+        only: the metric snapshots falling due are :func:`apply_pairs`
+        stops inside them.  With ``until_change`` the advance ends early,
+        right after the first transition that reports a change, and the
+        pairs the block took past it go back to the scheduler.
         """
         metrics = self._metrics
+        configuration = self._configuration
+        scheduler = self._scheduler
         changed = False
-        while self._interactions < target:
-            block = target - self._interactions
+        # An until-change block takes at most ``reach`` pairs, doubling
+        # from n while nothing changes, so the pairs it hands back cost
+        # no more than the O(n) check that follows the change.
+        reach = self._protocol.n
+        while self._interactions < target and not (until_change and changed):
+            position = self._interactions
+            initiators, responders = scheduler.take(
+                min(target - position, reach) if until_change else target - position
+            )
+            reach *= 2
+            stops, on_stop = (), None
             if metrics is not None:
-                block = min(block, max(metrics.next_due - self._interactions, 1))
-            if block == 1:
-                changed = self.step().changed or changed
-            else:
-                initiators, responders = self._scheduler.take(block)
-                ranks, resets, moved = apply_pairs(
-                    self._protocol.transition, self._configuration.states,
-                    self._scheduler.rng, initiators, responders,
-                    self._interactions, self._on_event,
+                # An overdue snapshot is taken after the next interaction.
+                stops = range(
+                    max(metrics.next_due - position, 1),
+                    len(initiators) + 1,
+                    metrics.interval,
                 )
-                self._interactions += len(initiators)
-                self._rank_assignments += ranks
-                self._resets += resets
-                changed = changed or moved
-            if metrics is not None:
-                metrics.maybe_record(self._interactions, self._configuration)
+                on_stop = lambda offset, start=position: metrics.record(
+                    start + offset, configuration
+                )
+            applied, ranks, resets, moved = apply_pairs(
+                self._protocol.transition, configuration.states, scheduler.rng,
+                initiators, responders, position, self._on_event,
+                stops, on_stop, until_change,
+            )
+            scheduler.put_back(len(initiators) - applied)
+            self._interactions += applied
+            self._rank_assignments += ranks
+            self._resets += resets
+            changed = changed or moved
         return changed
 
     def run(
@@ -380,15 +428,29 @@ class Simulator:
         # ``changed_since_check`` lets the loop skip the O(n) convergence
         # re-evaluation when no transition reported a change since the last
         # check — the predicate's value cannot have moved.
+        interval = self._convergence_interval
         changed_since_check = True
         while self._interactions < budget_end and not converged:
-            if self._advance_to(min(budget_end, next_check)):
-                changed_since_check = True
-            if self._interactions >= next_check:
+            if changed_since_check or next_check - self._interactions > 1:
+                if self._advance_to(min(budget_end, next_check)):
+                    changed_since_check = True
+                if self._interactions < next_check:
+                    break
                 if changed_since_check:
                     converged = self._protocol.has_converged(self._configuration)
                     changed_since_check = False
-                next_check = self._interactions + self._convergence_interval
+                    next_check = self._interactions + interval
+                    continue
+            # No change since the last check, which is due now (skipped) or
+            # one pair away: no check can flip before a transition changes
+            # something, so run on through the first change, then on to
+            # the check point at or after it.
+            if not self._advance_to(budget_end, until_change=True):
+                break
+            changed_since_check = True
+            next_check = self._interactions + (
+                (next_check - self._interactions) % interval
+            )
 
         converged = self._protocol.has_converged(self._configuration)
         result = self._finish(converged)

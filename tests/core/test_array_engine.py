@@ -232,6 +232,51 @@ class TestObjectFallback:
         assert actual.interactions == expected.interactions
         assert states_of(actual) == states_of(expected)
 
+    @pytest.mark.parametrize("interval", [1, 2, 13])
+    @pytest.mark.parametrize("factory", [SpaceEfficientRanking, LateRandomProtocol])
+    def test_object_path_takes_snapshots_inside_its_blocks(
+        self, factory, interval, monkeypatch
+    ):
+        # The object path passes the snapshots due in a block to the
+        # shared stepping loop as stops, like the reference: the series
+        # match, and only the buffer refill ends a block.
+        from repro.core import array_engine
+
+        blocks = []
+        apply_pairs = array_engine.apply_pairs
+
+        def counting(*args, **kwargs):
+            blocks.append(len(args[3]))
+            return apply_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(array_engine, "apply_pairs", counting)
+        n, seed, budget = 16, 5, 9_000
+        engines = [
+            engine(
+                factory(n), random_state=seed, convergence_interval=n,
+                metrics=MetricsCollector(standard_ranking_probes(), interval),
+            )
+            for engine in (Simulator, ArraySimulator)
+        ]
+        results = [
+            engine.run(budget, stop_on_convergence=False) for engine in engines
+        ]
+        assert engines[1].mode == "object"
+        assert states_of(results[1]) == states_of(results[0])
+        series = [
+            {name: (s.interactions, s.values) for name, s in r.metrics.items()}
+            for r in results
+        ]
+        assert series[1] == series[0]
+        assert len(series[0]["ranked_agents"][0]) > budget // interval
+        if factory is SpaceEfficientRanking:
+            assert blocks == [4096, 4096, budget - 2 * 4096]
+        else:
+            # Demoted inside the table path's walk: the rest of that walk,
+            # the rest of the engine's pair buffer in one block, then one
+            # block per scheduler refill.
+            assert len(blocks) == 4 and blocks[2] == 4096
+
 
 class TestDistributionalEquivalence:
     def test_convergence_time_distributions_agree(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.configuration import Configuration
-from repro.core.metrics import MetricsCollector, TimeSeries, standard_ranking_probes
+from repro.core.metrics import (
+    MetricsCollector, SummaryProbe, TimeSeries, standard_ranking_probes,
+)
 from repro.core.state import AgentState
 
 
@@ -52,3 +54,37 @@ class TestMetricsCollector:
         assert probes["duplicate_ranks"](config) == 0.0
         config[0].rank = 2
         assert probes["duplicate_ranks"](config) == 1.0
+
+    def test_shared_summary_runs_once_per_snapshot(self):
+        calls = []
+
+        def summary(config):
+            calls.append(config)
+            return (config.ranked_count(), 7)
+
+        probes = {
+            "ranked": SummaryProbe(summary, 0),
+            "lone": lambda config: -1,
+            "seven": SummaryProbe(summary, 1),
+        }
+        collector = MetricsCollector(probes, interval=5)
+        config = simple_config(3)
+        collector.record(0, config)
+        collector.record(5, config)
+        assert len(calls) == 2
+        assert [collector.get(name).values for name in probes] == [
+            [3.0, 3.0], [-1.0, -1.0], [7.0, 7.0]
+        ]
+        # Called on its own, a summary probe evaluates its summary.
+        assert probes["seven"](config) == 7.0 and len(calls) == 3
+
+    def test_probes_added_to_the_standard_dict_are_recorded(self):
+        probes = standard_ranking_probes()
+        probes["phase_agents"] = lambda config: len(config.phase_values())
+        del probes["average_phase"]
+        collector = MetricsCollector(probes, interval=1)
+        config = simple_config(2, phases=(3, 5, 8))
+        collector.record(0, config)
+        assert {name: series.values for name, series in collector.series.items()} == {
+            "ranked_agents": [2.0], "duplicate_ranks": [0.0], "phase_agents": [3.0],
+        }

@@ -158,8 +158,9 @@ STEPPING_CASES = {
 }
 
 
-def _stepping_pair(case, n=8, seed=11, interval=37, cadence=None):
-    """Two same-seed simulators with collectors and event logs."""
+def _stepping_pair(case, n=8, seed=11, interval=37, cadence=None,
+                   log_events=True):
+    """Two same-seed simulators with collectors and (optional) event logs."""
     factory, topology = STEPPING_CASES[case]
     built = []
     for _ in range(2):
@@ -170,9 +171,9 @@ def _stepping_pair(case, n=8, seed=11, interval=37, cadence=None):
             random_state=seed,
             metrics=metrics,
             convergence_interval=cadence,
-            on_event=lambda t, i, j, r, log=events: log.append(
+            on_event=(lambda t, i, j, r, log=events: log.append(
                 (t, i, j, r.changed, r.rank_assigned, r.reset_triggered)
-            ),
+            )) if log_events else None,
             topology=None if topology is None else build_topology(
                 topology[0], n, topology[1]
             ),
@@ -300,3 +301,165 @@ class TestBlockSteppingLoop:
         assert _observed(fast, fast._metrics, []) == _observed(
             slow, slow._metrics, []
         )
+
+    @pytest.mark.parametrize("interval", [1, 2, 13])
+    def test_overdue_snapshot_at_entry_for_every_interval(self, interval):
+        (fast, _, _), (slow, _, _) = _stepping_pair("space-efficient")
+        fast.run(50, stop_on_convergence=False)
+        slow.run(50, stop_on_convergence=False)
+        for simulator in (fast, slow):
+            simulator._metrics = MetricsCollector(
+                standard_ranking_probes(), interval=interval
+            )
+        fast.run(40, stop_on_convergence=False)
+        for _ in range(40):
+            slow.step()
+            slow._metrics.maybe_record(slow.interactions, slow.configuration)
+        slow._metrics.close(slow.interactions, slow.configuration)
+        assert fast._metrics.get("ranked_agents").interactions[:2] == [
+            51, 51 + interval
+        ]
+        assert _observed(fast, fast._metrics, []) == _observed(
+            slow, slow._metrics, []
+        )
+
+
+def _count_blocks(monkeypatch):
+    """Patch the stepping loop to log each block's pair count."""
+    from repro.core import simulation
+
+    blocks = []
+    apply_pairs = simulation.apply_pairs
+
+    def counting(*args, **kwargs):
+        blocks.append(len(args[3]))
+        return apply_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "apply_pairs", counting)
+    return blocks
+
+
+class TestSnapshotsInsideBlocks:
+    """Metric snapshots are stops inside a block, not block ends: one
+    block carries every snapshot due in it, and the series, event log and
+    generator state equal the per-step definition's."""
+
+    BUDGET = 5_000  # crosses the 4,096-pair refill once
+
+    @pytest.mark.parametrize("log_events", [True, False])
+    @pytest.mark.parametrize("interval", [1, 2, 13])
+    @pytest.mark.parametrize("case", sorted(STEPPING_CASES))
+    def test_fixed_budget_run(self, case, interval, log_events, monkeypatch):
+        (fast, fast_metrics, fast_events), (slow, slow_metrics, slow_events) = (
+            _stepping_pair(case, interval=interval, log_events=log_events)
+        )
+        blocks = _count_blocks(monkeypatch)
+        result = fast.run(self.BUDGET, stop_on_convergence=False)
+        converged = _manual_run(slow, slow_metrics, self.BUDGET, False)
+        assert result.converged == converged
+        assert (result.rank_assignments, result.resets) == (
+            slow._rank_assignments, slow._resets
+        )
+        assert _observed(fast, fast_metrics, fast_events) == _observed(
+            slow, slow_metrics, slow_events
+        )
+        assert bool(fast_events) == log_events
+        assert len(fast_metrics.get("ranked_agents")) == (
+            self.BUDGET // interval + 1 + bool(self.BUDGET % interval)
+        )
+        # One block per buffer: the refill ends a block, snapshots do not.
+        assert blocks == [4096, self.BUDGET - 4096]
+
+    @pytest.mark.parametrize("interval", [1, 2, 13])
+    def test_two_runs_from_mid_buffer(self, interval):
+        # The second run starts mid-buffer and between two snapshots.
+        (fast, fast_metrics, fast_events), (slow, slow_metrics, slow_events) = (
+            _stepping_pair("stable-ring", interval=interval)
+        )
+        for budget in (1_234, 3_000):
+            fast.run(budget, stop_on_convergence=False)
+            _manual_run(slow, slow_metrics, budget, False)
+            assert _observed(fast, fast_metrics, fast_events) == _observed(
+                slow, slow_metrics, slow_events
+            )
+
+
+class TestCadenceOneBlocks:
+    """With no change pending, a stopping run runs on to the first changed
+    transition instead of ending a block at every check point (at
+    ``convergence_interval=1``, every pair), with the per-step
+    definition's outcome."""
+
+    def test_ring_epidemics(self, monkeypatch):
+        from repro.protocols.primitives.one_way_epidemic import (
+            OneWayEpidemicProtocol,
+        )
+
+        n = 32
+        checks = []
+        blocks = _count_blocks(monkeypatch)
+        for seed in range(20):
+            built = []
+            for _ in range(2):
+                protocol = OneWayEpidemicProtocol(n)
+                has_converged = protocol.has_converged
+                protocol.has_converged = (
+                    lambda c, f=has_converged: checks.append(1) or f(c)
+                )
+                metrics = MetricsCollector(
+                    {"informed": lambda c: sum(s.informed for s in c.states)},
+                    interval=17,
+                )
+                simulator = Simulator(
+                    protocol, random_state=seed, metrics=metrics,
+                    convergence_interval=1,
+                    topology=build_topology("ring", n, {}),
+                )
+                built.append((simulator, metrics))
+            (fast, fast_metrics), (slow, slow_metrics) = built
+            del checks[:]
+            blocks_before = len(blocks)
+            result = fast.run(100_000)
+            fast_checks, fast_blocks = len(checks), len(blocks) - blocks_before
+            converged = _manual_run(slow, slow_metrics, 100_000, True, interval=1)
+            assert result.converged and converged
+            assert _observed(fast, fast_metrics, []) == _observed(
+                slow, slow_metrics, []
+            )
+            assert fast_blocks <= 2 * fast_checks
+
+    def test_dense_changes_keep_one_block_per_check(self, monkeypatch):
+        # StableRanking changes some agent on nearly every pair: at the
+        # default cadence n a stopping run makes about one block per check
+        # interval, not an until-change block and a block to the check
+        # point for each (only a quiet interval costs those two more).
+        n = 16
+        (fast, fast_metrics, fast_events), (slow, slow_metrics, slow_events) = (
+            _stepping_pair("stable-complete", n=n, interval=10**9)
+        )
+        blocks = _count_blocks(monkeypatch)
+        result = fast.run(60_000)
+        converged = _manual_run(slow, slow_metrics, 60_000, True)
+        assert result.converged and converged
+        assert _observed(fast, fast_metrics, fast_events) == _observed(
+            slow, slow_metrics, slow_events
+        )
+        intervals = -(-result.interactions // n)
+        assert len(blocks) < 1.1 * intervals
+
+    def test_budget_ends_inside_a_quiet_stretch(self):
+        # Runs stop on budgets that end between two changes, with no
+        # change pending; each next run starts there.
+        fast = Simulator(InfectionProtocol(12), random_state=9,
+                         convergence_interval=1)
+        slow = Simulator(InfectionProtocol(12), random_state=9)
+        converged = slow.protocol.has_converged
+        for budget in (1, 2, 3, 5, 8, 13, 21, 34, 55):
+            result = fast.run(budget)
+            end = slow.interactions + budget
+            while slow.interactions < end and not converged(slow.configuration):
+                slow.step()
+            assert result.interactions == slow.interactions
+            assert result.converged == converged(slow.configuration)
+            assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+        assert result.converged

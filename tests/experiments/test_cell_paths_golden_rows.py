@@ -16,7 +16,10 @@ pin the remaining ways a cell reaches its row, each through ``Study.run``:
   table path;
 * ``extractors``: a spec with every extractor;
 * ``series-reference``: a reference cell with metric series that runs on
-  past convergence (``stop_on_convergence=False``).
+  past convergence (``stop_on_convergence=False``);
+* ``drain-reference``: the cell of the perfbench ``drain`` workload
+  (n = 4, 240 samples, one snapshot every 13 interactions), where a
+  stepping block carries hundreds of snapshots.
 
 A row is pinned as the SHA-256 of its JSON in the key order the store
 writes (so the insertion order of milestones and extras is pinned too),
@@ -64,6 +67,17 @@ def case_specs(case):
                 n_values=(16,), seeds=2, engine="reference",
                 workload="figure2", max_interactions_factor=30.0,
                 samples=24, stop_on_convergence=False,
+            ),
+        )
+    if case == "drain-reference":
+        return (
+            ExperimentSpec(
+                variant="drain", protocol="stable-ranking-figure2",
+                n_values=(4,), seeds=2, engine="reference",
+                workload="figure2",
+                protocol_params={"c_wait": 2.0, "c_live": 4.0},
+                max_interactions_factor=200.0, samples=240,
+                stop_on_convergence=False,
             ),
         )
     raise AssertionError(case)
@@ -228,6 +242,20 @@ GOLDEN = {
             [],
             [],
             '57efae2e0e496c42b6920aaa3293a31ac79ba26127b91d1d7f4d131665eaaf99',
+        ),
+    },
+    'drain-reference': {
+        ('drain', 4, 0): (
+            'reference', 'complete', True, 3200, 22,
+            [],
+            [],
+            'a73db7b7d594d49d7831fd597014adf92ced083e9ba22849a95fe77465682cb0',
+        ),
+        ('drain', 4, 1): (
+            'reference', 'complete', True, 3200, 8,
+            [],
+            [],
+            '856c468811350dbe324f97d64406b5af749e222b795cdd69239cc16f8df27c45',
         ),
     },
 }
