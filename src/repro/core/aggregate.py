@@ -32,7 +32,37 @@ import numpy as np
 from .errors import SimulationLimitExceeded, check_budget
 from .rng import RandomState, make_rng
 
-__all__ = ["EventDrivenSimulator", "AggregateResult"]
+__all__ = ["EventDrivenSimulator", "AggregateResult", "certified_waits"]
+
+#: A vectorized quotient this close to an integer, relative to its size, is
+#: recomputed with ``math.log1p`` (see :func:`certified_waits`).
+_CERTIFIED_GAP = 2.0 ** -40
+
+
+def certified_waits(uniforms: np.ndarray, success: np.ndarray) -> np.ndarray:
+    """Geometric waits ``1 + int(log1p(-u) / log1p(-p))``, elementwise.
+
+    The result equals the scalar formula with ``math.log1p`` bit for bit,
+    whatever ``np.log1p``'s error.  Both libraries return ``log1p`` within
+    a few ulps, so the two quotients differ by a few ulps, and their
+    truncations can differ only when an integer lies between them.  Every
+    quotient within a relative ``2**-40`` of an integer (``0`` included)
+    is therefore recomputed with the scalar formula; ``2**-40`` leaves
+    room for thousands of ulps of ``log1p`` error on either side.
+
+    ``uniforms`` and ``success`` are float arrays of one length, with
+    every ``success`` in ``(0, 1)``.
+    """
+    quotients = np.log1p(-uniforms) / np.log1p(-success)
+    waits = quotients.astype(np.int64)  # truncates, as ``int`` does
+    suspects = (
+        np.abs(quotients - np.rint(quotients)) <= _CERTIFIED_GAP * quotients
+    ).nonzero()[0]
+    for index in suspects.tolist():
+        waits[index] = int(
+            log1p(-float(uniforms[index])) / log1p(-float(success[index]))
+        )
+    return waits + 1
 
 
 @dataclass
@@ -84,7 +114,10 @@ class EventDrivenSimulator(abc.ABC):
         # Uniform draws are consumed two per event; batching them into one
         # vectorized ``rng.random(k)`` call amortizes the per-call overhead
         # of scalar generator draws (~0.4 us each) across the event loop.
+        # The batch is kept twice: as a list for scalar reads and as the
+        # array it was drawn as, for vectorized runs of events.
         self._uniforms: list = []
+        self._uniform_array = np.empty(0)
         self._uniform_pos = 0
 
     @property
@@ -135,6 +168,33 @@ class EventDrivenSimulator(abc.ABC):
     # ------------------------------------------------------------------
     # Driving loop
     # ------------------------------------------------------------------
+    def _refill_uniforms(self) -> list:
+        """Draw the next batch of uniforms and rewind the cursor.
+
+        Called when fewer than two uniforms are left (``pos + 2 >
+        len``), before an event's draws; a left-over uniform is
+        discarded.  Returns the batch as a list.
+        """
+        self._uniform_array = self._rng.random(self._UNIFORM_BATCH)
+        self._uniforms = self._uniform_array.tolist()
+        self._uniform_pos = 0
+        return self._uniforms
+
+    def _waits_within(self, pos: int, success: np.ndarray, room: int):
+        """Resolve the waits of a run of events against the budget.
+
+        Event ``i`` of the run draws its wait from uniform ``pos + 2i``
+        with success probability ``success[i]`` (all below 1).  Returns
+        how many of the run's events end within ``room`` more
+        interactions (an event landing exactly on it included) and the
+        interactions they take.  The first event past it is left to the
+        scalar path, which draws its wait again and clamps.
+        """
+        uniforms = self._uniform_array[pos:pos + 2 * len(success):2]
+        elapsed = certified_waits(uniforms, success).cumsum()
+        fits = int(elapsed.searchsorted(min(room, 2**62), side="right"))
+        return fits, int(elapsed[fits - 1]) if fits else 0
+
     def step_event(self, limit: Optional[int] = None) -> Optional[str]:
         """Advance to (and apply) the next productive event.
 
@@ -161,7 +221,7 @@ class EventDrivenSimulator(abc.ABC):
         uniforms = self._uniforms
         position = self._uniform_pos
         if position + 2 > len(uniforms):
-            uniforms = self._uniforms = self._rng.random(self._UNIFORM_BATCH).tolist()
+            uniforms = self._refill_uniforms()
             position = 0
         # Number of interactions up to and including the productive one:
         # exact geometric via inverse transform, ``1 + floor(ln(1-U)/ln(1-p))``

@@ -42,7 +42,7 @@ def apply_pairs(
     on_event=None,
     stops: Sequence[int] = (),
     on_stop: Optional[Callable[[int], None]] = None,
-    until_change: bool = False,
+    settle: Optional[int] = None,
 ) -> Tuple[int, int, int, bool]:
     """The agent-level stepping loop: apply ``zip(initiators, responders)``
     in order to the live ``states`` through the protocol's ``transition``.
@@ -54,10 +54,12 @@ def apply_pairs(
     ``stops`` and ``on_stop`` are the snapshot contract of
     :meth:`~repro.core.soa.VectorizedKernel.apply_chunk`: ``stops`` are
     sorted offsets in ``1..len(initiators)``, and ``on_stop(s)`` runs once
-    the first ``s`` pairs are applied, before pair ``s``.  With
-    ``until_change`` the loop also stops right after the first transition
-    that reports a change, once that pair's ``on_event`` (and the
-    ``on_stop`` of a stop right after it) ran.
+    the first ``s`` pairs are applied, before pair ``s``.  With an offset
+    ``settle`` the loop also stops after pair ``max(settle, first
+    change)``: at ``settle`` if a transition before it reported a
+    change, otherwise right after the first transition that does, once
+    that pair's ``on_event`` (and the ``on_stop`` of a stop right after
+    it) ran.
 
     Returns how many pairs were applied, how many of them assigned a rank,
     how many triggered a reset, and whether any reported a change.
@@ -66,9 +68,17 @@ def apply_pairs(
     changed = False
     pairs = zip(count(position + 1), initiators, responders)
     done = 0
-    for stop in (*stops, None):
-        for interaction, i, j in pairs if stop is None else islice(
-            pairs, stop - done
+    if settle is not None and not 0 < settle < len(initiators):
+        # No pair before it, or no pair after it: the first change stops.
+        settle = None if settle > 0 else 0
+    ends = iter((*stops, None))
+    stop = next(ends)
+    while True:
+        end = stop
+        if settle and done < settle and (end is None or settle < end):
+            end = settle
+        for interaction, i, j in pairs if end is None else islice(
+            pairs, end - done
         ):
             result = transition(states[i], states[j], rng)
             if result.rank_assigned is not None:
@@ -79,15 +89,19 @@ def apply_pairs(
                 changed = True
                 if on_event is not None:
                     on_event(interaction, i, j, result)
-                if until_change:
+                if settle is not None and interaction - position >= settle:
                     done = interaction - position
                     if done == stop:
                         on_stop(stop)
                     return done, rank_assignments, resets, changed
-        if stop is not None:
+        if end is None:
+            return len(initiators), rank_assignments, resets, changed
+        done = end
+        if end == stop:
             on_stop(stop)
-            done = stop
-    return len(initiators), rank_assignments, resets, changed
+            stop = next(ends)
+        if end == settle and changed:
+            return done, rank_assignments, resets, changed
 
 
 def segmented_run(
@@ -343,31 +357,41 @@ class Simulator:
             self._on_event(self._interactions, initiator_index, responder_index, result)
         return result
 
-    def _advance_to(self, target: int, until_change: bool = False) -> bool:
+    def _advance_to(self, target: int, settle: Optional[int] = None) -> bool:
         """Step to interaction ``target`` exactly as :meth:`step` plus a
         per-step ``maybe_record`` would; return whether any transition
         reported a change.
 
         Blocks end at ``target`` and at the end of the scheduler's buffer
         only: the metric snapshots falling due are :func:`apply_pairs`
-        stops inside them.  With ``until_change`` the advance ends early,
-        right after the first transition that reports a change, and the
-        pairs the block took past it go back to the scheduler.
+        stops inside them.  With ``settle`` (an interaction count) the
+        advance ends early, at ``max(settle, first change)``: at
+        ``settle`` if a transition changed before it, otherwise right
+        after the first transition that does.  The pairs a block took past
+        its end go back to the scheduler.
         """
         metrics = self._metrics
         configuration = self._configuration
         scheduler = self._scheduler
         changed = False
-        # An until-change block takes at most ``reach`` pairs, doubling
-        # from n while nothing changes, so the pairs it hands back cost
-        # no more than the O(n) check that follows the change.
+        # A settling block takes at most ``reach`` pairs past ``settle``,
+        # doubling from n while nothing changes, so the pairs it hands
+        # back cost no more than the O(n) check that follows the change.
         reach = self._protocol.n
-        while self._interactions < target and not (until_change and changed):
+        while self._interactions < target:
             position = self._interactions
-            initiators, responders = scheduler.take(
-                min(target - position, reach) if until_change else target - position
-            )
-            reach *= 2
+            offset = None
+            if settle is None:
+                wanted = target - position
+            elif changed:
+                if position >= settle:
+                    break
+                wanted = settle - position
+            else:
+                offset = settle - position
+                wanted = min(target - position, max(offset, 0) + reach)
+                reach *= 2
+            initiators, responders = scheduler.take(wanted)
             stops, on_stop = (), None
             if metrics is not None:
                 # An overdue snapshot is taken after the next interaction.
@@ -382,7 +406,7 @@ class Simulator:
             applied, ranks, resets, moved = apply_pairs(
                 self._protocol.transition, configuration.states, scheduler.rng,
                 initiators, responders, position, self._on_event,
-                stops, on_stop, until_change,
+                stops, on_stop, offset,
             )
             scheduler.put_back(len(initiators) - applied)
             self._interactions += applied
@@ -425,32 +449,31 @@ class Simulator:
             converged = False
             next_check = budget_end + 1
 
-        # ``changed_since_check`` lets the loop skip the O(n) convergence
-        # re-evaluation when no transition reported a change since the last
-        # check — the predicate's value cannot have moved.
+        # ``quiet`` (no transition reported a change since the last
+        # check) lets the loop skip the O(n) convergence re-evaluation —
+        # the predicate's value cannot have moved.
         interval = self._convergence_interval
-        changed_since_check = True
+        quiet = False
         while self._interactions < budget_end and not converged:
-            if changed_since_check or next_check - self._interactions > 1:
-                if self._advance_to(min(budget_end, next_check)):
-                    changed_since_check = True
-                if self._interactions < next_check:
-                    break
-                if changed_since_check:
-                    converged = self._protocol.has_converged(self._configuration)
-                    changed_since_check = False
-                    next_check = self._interactions + interval
-                    continue
-            # No change since the last check, which is due now (skipped) or
-            # one pair away: no check can flip before a transition changes
-            # something, so run on through the first change, then on to
-            # the check point at or after it.
-            if not self._advance_to(budget_end, until_change=True):
+            if not quiet:
+                self._advance_to(min(budget_end, next_check))
+            elif not self._advance_to(budget_end, settle=next_check):
+                # No check can flip before a transition changes something,
+                # so the block ran to the check point, or on through the
+                # first change past it: here none came before the budget.
                 break
-            changed_since_check = True
+            if self._interactions < next_check:
+                break
+            # Evaluate at the check point at or after the last change.
             next_check = self._interactions + (
                 (next_check - self._interactions) % interval
             )
+            if next_check == self._interactions:
+                converged = self._protocol.has_converged(self._configuration)
+                quiet = True
+                next_check += interval
+            else:
+                quiet = False
 
         converged = self._protocol.has_converged(self._configuration)
         result = self._finish(converged)

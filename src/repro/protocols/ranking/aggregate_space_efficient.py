@@ -33,14 +33,22 @@ events in:
   one or two phases (``_handover_events``).
 
 Inside a regime the state is a few integers, so each loop computes the
-class weights and the chosen class in O(1).  A loop returns when its
-regime ends: the leader's mode flips, the phase set changes, the
-unconverted pool empties, the ranked count reaches the next milestone
-threshold (or ``n``), or the budget clamps.  ``run`` then reads the next
-regime from the state.  Any other state (tiny ``n``, three phases, a start
-without phase agents) takes its next event through ``step_event``.  The
-loops pick the same classes from the same uniform draws as ``step_event``,
-so the results are bit-identical (see ``docs/engines.md``).
+class weights and the chosen class in O(1).  Most events of a regime
+repeat one effect, so a loop first resolves a *run* of such events with
+numpy, from the uniform batch's array: (a) speculates one agent converted
+into the current phase per event, (b) knows its run of rank hand-outs up
+front, and (c) resolves the two-phase hand-over's shifts by a fixpoint
+(``_conversion_run``, ``_handover_run``).  Waits come from
+:func:`~repro.core.aggregate.certified_waits`, equal to the scalar
+formula bit for bit.  The event that ends a run takes the loop's
+single-event body.  A loop returns when its regime ends: the leader's
+mode flips, the phase set changes, the unconverted pool empties, the
+ranked count reaches the next milestone threshold (or ``n``), or the
+budget clamps.  ``run`` then reads the next regime from the state.  Any
+other state (tiny ``n``, three phases, a start without phase agents)
+takes its next event through ``step_event``.  The loops pick the same
+classes from the same uniform draws as ``step_event``, so the results are
+bit-identical (see ``docs/engines.md``).
 
 Two deliberate simplifications versus the agent-level reference.  The
 only test that compares the two is a mean check of the 50% milestone at
@@ -68,6 +76,8 @@ from __future__ import annotations
 
 from math import ceil, log1p
 from typing import Dict
+
+import numpy as np
 
 from ...core.aggregate import EventDrivenSimulator
 from ...core.errors import ConfigurationError, SimulationLimitExceeded
@@ -450,6 +460,97 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         if grow:
             self._add_phase_agent(grow)
 
+    #: Shortest run of events worth a vectorized pass: below it, the
+    #: scalar loop's per-event cost is less than numpy's per-call cost.
+    _MIN_RUN = 32
+
+    def _conversion_run(self, pos, run, unconverted, count, gated,
+                        assigned_count, phase, bumped_phase, top, room):
+        """Regime (a)'s speculated run: ``(events, interactions)``.
+
+        Event ``i`` of the run, if every earlier one converted an agent
+        into ``phase``, sees ``unconverted − i`` unconverted agents and
+        ``count + i`` phase agents; ``gated`` is the number of open
+        ``assign``/``bump`` gates.  The run is the prefix of events whose
+        pick lands in such a class, resolved against the budget by
+        ``_waits_within``.
+        """
+        step = np.arange(run)
+        u = unconverted - step
+        c = count + step
+        bump_end = u + gated * c
+        join_end = bump_end + 2 * u * c
+        plain_end = join_end + u * (assigned_count + 1)
+        total = plain_end + u * assigned_count
+        picks = self._uniform_array[pos + 1:pos + 2 * run:2] * total
+        picks = np.where(picks >= total, total - 0.5, picks)
+        lands = np.where(
+            top & (picks >= plain_end) & (picks < plain_end + u),
+            bumped_phase, 1,
+        )
+        ends = ((picks < bump_end) | ((picks >= join_end) & (lands != phase))
+                | (total >= self._total_pairs))
+        settled = int(ends.argmax()) if ends.any() else run
+        return self._waits_within(pos, total[:settled] / self._total_pairs, room)
+
+    def _handover_run(self, pos, run, count_x, count_y, low_is_x, bump_x,
+                      bump_y, shift_x, shift_y, ticks, wait, shifting, total,
+                      room):
+        """Regime (c)'s two-phase run: ``(events, interactions, ticks,
+        shifts)``.
+
+        Ticks leave the weights alone and a shift moves one agent from the
+        lower phase to the higher, so event ``i``'s classes follow from the
+        number ``s_i`` of shifts before it.  ``s`` is resolved by a
+        fixpoint, as :class:`OneWayEpidemicKernel` resolves infection
+        times: classify every event under a guess of ``s``, recount the
+        shifts, and repeat until the count confirms the guess up to the
+        first event that ends the run.  A round fixes at least the first
+        event the guess got wrong, so the fixpoint exists; from a guess at
+        the current shift rate it takes two or three rounds.
+
+        Both phases keep an agent up to that event, so the merge class is
+        positive and a pick ``U·total`` that rounds up to ``total`` lands
+        in it unclamped; and ``total ≤ 2T + T²/2 < n(n−1)`` (``T < n``,
+        ``n > 3``), so every wait is drawn.
+        """
+        picks = self._uniform_array[pos + 1:pos + 2 * run:2]
+        before = np.arange(run) * shifting // total
+        low = count_x if low_is_x else count_y
+        while True:
+            moved = before if low_is_x else -before
+            c_x = count_x - moved
+            c_y = count_y + moved
+            bump_x_end = ticks + bump_x * c_x
+            bump_y_end = bump_x_end + bump_y * c_y
+            thresholds = picks * (bump_y_end + 2 * c_x * c_y)
+            tick = thresholds < ticks
+            shift = thresholds >= bump_y_end
+            if shift_x:
+                shift |= ~tick & (thresholds < bump_x_end)
+            if shift_y:
+                shift |= (thresholds >= bump_x_end) & (thresholds < bump_y_end)
+            after = np.add.accumulate(shift, dtype=np.int64)
+            # The run ends at a bump into a new phase, at the shift that
+            # empties the lower phase or at the tick that ends the wait.
+            others = ~(tick | shift)
+            first = int(others.argmax())
+            if not others[first]:
+                first = run
+            first = min(first, int(after.searchsorted(low)))
+            if first and first - after[first - 1] >= wait:
+                first = int(tick.nonzero()[0][wait - 1])
+            checked = min(first, run - 1)
+            if not np.count_nonzero(after[:checked] != before[1:checked + 1]):
+                break
+            before[1:] = after[:-1]
+        total = bump_y_end[:first] + 2 * c_x[:first] * c_y[:first]
+        fits, elapsed = self._waits_within(
+            pos, total / self._total_pairs, room
+        )
+        return (fits, elapsed, int(np.count_nonzero(tick[:fits])),
+                int(after[fits - 1]) if fits else 0)
+
     def _conversion_events(self, budget_end: int, stop: int) -> None:
         """Regime (a): the leader holds a rank, one phase, agents unconverted.
 
@@ -474,8 +575,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         limit = self._phase_limit
         n = self._n
         assigned = self._assigned
-        rng = self._rng
-        batch = self._UNIFORM_BATCH
+        bumped_phase = min(2, limit)
 
         (phase, count), = self._phase_counts.items()
         unconverted = self._unconverted
@@ -494,15 +594,41 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         follow_open = 1 <= rank <= rpp[1] and f[2] + rank not in assigned
         bump_open = phase < limit and f[phase] in assigned
         top = n in assigned
+        vectorize = True
         while interactions < budget_end:
             leader_end = unconverted
             assign_end = leader_end + assign_open * count
             bump_end = assign_end + bump_open * count
             join_end = bump_end + 2 * unconverted * count
             total = join_end + unconverted * (2 * assigned_count + 1)
+            # Speculate a run of the dominant effect, one agent converted
+            # into this phase: a join, or a conversion landing here.
+            settled = 2 * unconverted * count
+            if phase == 1:
+                settled += unconverted * (2 * assigned_count + 1 - top)
+            if phase == bumped_phase:
+                settled += unconverted * top
+            run = min(unconverted - 1, (available - pos) // 2,
+                      2 * total // (total - settled))
+            if vectorize and run >= self._MIN_RUN:
+                fits, elapsed = self._conversion_run(
+                    pos, run, unconverted, count, assign_open + bump_open,
+                    assigned_count, phase, bumped_phase, top,
+                    budget_end - interactions,
+                )
+                if fits:
+                    interactions += elapsed
+                    pos += 2 * fits
+                    events += fits
+                    unconverted -= fits
+                    count += fits
+                    # The next event ended the run: it takes the scalar path.
+                    vectorize = False
+                    continue
+            vectorize = True
             success_probability = total / total_pairs
             if pos + 2 > available:
-                uniforms = rng.random(batch).tolist()
+                uniforms = self._refill_uniforms()
                 available = len(uniforms)
                 pos = 0
             if success_probability < 1.0:
@@ -602,8 +728,6 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         f = self._f
         limit = self._phase_limit
         assigned = self._assigned
-        rng = self._rng
-        batch = self._UNIFORM_BATCH
 
         (phase, count), = self._phase_counts.items()
         base = f[phase + 1]
@@ -615,9 +739,35 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         available = len(uniforms)
         pos = self._uniform_pos
         ranked = len(assigned) + 1
+        vectorize = True
         while interactions < budget_end:
+            # The events before the one that ends the regime: event i
+            # hands out rank base + rank + i at weight count − i.
+            run = min(boundary - rank, count - 1, stop - ranked - 1,
+                      (available - pos) // 2)
+            if vectorize and run >= self._MIN_RUN:
+                taken = assigned.intersection(
+                    range(base + rank + 1, base + rank + run + 1)
+                )
+                if taken:
+                    run = min(taken) - base - rank - 1
+                fits, elapsed = self._waits_within(
+                    pos, np.arange(count, count - run, -1) / total_pairs,
+                    budget_end - interactions,
+                )
+                if fits:
+                    interactions += elapsed
+                    pos += 2 * fits
+                    events += fits
+                    count -= fits
+                    assigned.update(range(base + rank, base + rank + fits))
+                    ranked += fits
+                    rank += fits
+                    vectorize = False
+                    continue
+            vectorize = True
             if pos + 2 > available:
-                uniforms = rng.random(batch).tolist()
+                uniforms = self._refill_uniforms()
                 available = len(uniforms)
                 pos = 0
             # count ≤ n − 1 < n(n − 1): the waiting time is always drawn.
@@ -669,8 +819,6 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         f = self._f
         limit = self._phase_limit
         assigned = self._assigned
-        rng = self._rng
-        batch = self._UNIFORM_BATCH
         counts = self._phase_counts
 
         phases = list(counts)
@@ -688,13 +836,53 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         available = len(uniforms)
         pos = self._uniform_pos
         drop = grow = 0
+        # Shifts move an agent from the lower phase to the higher: every
+        # merge, and a bump of the lower phase when the two are adjacent.
+        # Every other bump ends the regime.
+        low_is_x = x < y
+        shift_x = bump_x and x + 1 == y
+        shift_y = bump_y and y + 1 == x
+        vectorize = bool(y) and self._n > 3
         while interactions < budget_end:
             bump_x_end = ticks + bump_x * count_x
             bump_y_end = bump_x_end + bump_y * count_y
             total = bump_y_end + 2 * count_x * count_y
+            if vectorize:
+                # The run ends at the first bump into a new phase, at the
+                # shift that empties the lower phase, or at the last tick.
+                low = count_x if low_is_x else count_y
+                shifting = (total - bump_y_end + shift_x * count_x
+                            + shift_y * count_y)
+                ending = total - ticks - shifting
+                if low > 1:
+                    ending += shifting / (low - 1)
+                else:
+                    ending += shifting
+                run = min((available - pos) // 2,
+                          2 * total / (ending + ticks / wait))
+                if run >= self._MIN_RUN:
+                    fits, elapsed, ticked, shifted = self._handover_run(
+                        pos, int(run), count_x, count_y, low_is_x, bump_x,
+                        bump_y, shift_x, shift_y, ticks, wait, shifting,
+                        total, budget_end - interactions,
+                    )
+                    if fits:
+                        interactions += elapsed
+                        pos += 2 * fits
+                        events += fits
+                        wait -= ticked
+                        if low_is_x:
+                            count_x -= shifted
+                            count_y += shifted
+                        else:
+                            count_y -= shifted
+                            count_x += shifted
+                        vectorize = False
+                        continue
+            vectorize = bool(y) and self._n > 3
             success_probability = total / total_pairs
             if pos + 2 > available:
-                uniforms = rng.random(batch).tolist()
+                uniforms = self._refill_uniforms()
                 available = len(uniforms)
                 pos = 0
             if success_probability < 1.0:

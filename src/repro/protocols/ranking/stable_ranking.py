@@ -40,6 +40,14 @@ from .states import in_main_state
 __all__ = ["StableRanking"]
 
 
+def _unranked_main(state: AgentState) -> bool:
+    """:func:`in_main_state` for an unranked agent that carries no reset
+    or leader-election variables."""
+    return state.alive_count is not None and (
+        state.wait_count is not None or state.phase is not None
+    )
+
+
 class StableRanking(RankingProtocol[AgentState]):
     """The paper's silent self-stabilizing ranking protocol.
 
@@ -171,13 +179,17 @@ class StableRanking(RankingProtocol[AgentState]):
         triggered = False
         rank_assigned = None
 
-        # Line 1: propagate resets and manage dormancy.
-        if (
-            u.reset_count is not None
-            or u.delay_count is not None
-            or v.reset_count is not None
-            or v.delay_count is not None
-        ):
+        # Line 1: propagate resets and manage dormancy.  While neither
+        # agent carries reset variables (``clean``), main-state membership
+        # below needs only the main fields: ``in_main_state`` without its
+        # reset and leader-election reads.
+        clean = (
+            u.reset_count is None
+            and u.delay_count is None
+            and v.reset_count is None
+            and v.delay_count is None
+        )
+        if not clean:
             changed = self._reset.apply(u, v)
 
         # Lines 2-3: both agents still electing a leader.  Only the initiator
@@ -189,13 +201,17 @@ class StableRanking(RankingProtocol[AgentState]):
             changed = self._leader_election.apply(u, v, rng) or changed
             triggered = self._reset.triggered_count > triggers_before
             u_in_le = u.leader_done is not None
+            clean = False  # a timeout may have put ``u`` in a reset
 
         # Lines 4-6: a leader-electing agent meets an agent already executing
         # the main protocol and joins it as a phase-1 agent, after which both
         # hold main states.
         if u_in_le != v_in_le:
             le_agent, other = (u, v) if u_in_le else (v, u)
-            both_main = in_main_state(other)
+            if clean:
+                both_main = other.rank is not None or _unranked_main(other)
+            else:
+                both_main = in_main_state(other)
             if both_main:
                 coin = le_agent.coin if le_agent.coin is not None else 0
                 le_agent.clear()
@@ -203,8 +219,14 @@ class StableRanking(RankingProtocol[AgentState]):
                 le_agent.phase = 1
                 le_agent.alive_count = self._l_max
                 changed = True
+        elif u_in_le:
+            both_main = False
+        elif clean:
+            both_main = (u.rank is not None or _unranked_main(u)) and (
+                v.rank is not None or _unranked_main(v)
+            )
         else:
-            both_main = not u_in_le and in_main_state(u) and in_main_state(v)
+            both_main = in_main_state(u) and in_main_state(v)
 
         # Lines 7-8: both agents hold main states — run Ranking+.
         if both_main:

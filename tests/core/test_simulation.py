@@ -463,3 +463,74 @@ class TestCadenceOneBlocks:
             assert result.converged == converged(slow.configuration)
             assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
         assert result.converged
+
+
+class TestQuietIntervalBlocks:
+    """After an evaluated check with no change pending, one block ends at
+    ``max(check point, first change)``: a quiet interval costs one block to
+    the first change (and one on to the next check point), not a block to
+    the skipped check point first."""
+
+    @pytest.mark.parametrize("interval", [2, 5, 32])
+    def test_quiet_stretches_equal_the_per_step_loop(self, interval, monkeypatch):
+        from repro.protocols.primitives.one_way_epidemic import (
+            OneWayEpidemicProtocol,
+        )
+
+        n = 24
+        blocks = _count_blocks(monkeypatch)
+        for seed in range(6):
+            built = []
+            for _ in range(2):
+                metrics = MetricsCollector(
+                    {"informed": lambda c: sum(s.informed for s in c.states)},
+                    interval=11,
+                )
+                simulator = Simulator(
+                    OneWayEpidemicProtocol(n), random_state=seed,
+                    metrics=metrics, convergence_interval=interval,
+                    topology=build_topology("ring", n, {}),
+                )
+                built.append((simulator, metrics))
+            (fast, fast_metrics), (slow, slow_metrics) = built
+            result = fast.run(100_000)
+            converged = _manual_run(
+                slow, slow_metrics, 100_000, True, interval=interval
+            )
+            assert result.converged and converged
+            assert _observed(fast, fast_metrics, []) == _observed(
+                slow, slow_metrics, []
+            )
+        assert blocks
+
+    def test_fault_storm_reference_cells(self, monkeypatch):
+        # The 12 reference cells of docs/benchmarks.md: 25,678 blocks when
+        # a quiet interval cost a block to the skipped check point, an
+        # until-change block and a block to the next check point.
+        from repro.experiments.fault_storm import fault_storm_specs
+        from repro.experiments.study import Study
+
+        blocks = _count_blocks(monkeypatch)
+        specs = fault_storm_specs(
+            n_values=(16,), repetitions=6,
+            faults=("duplicate_rank", "scramble"), events=2,
+            engine="reference",
+        )
+        rows = Study(specs).run().rows
+        assert len(rows) == 12
+        assert len(blocks) <= 24_538
+
+    def test_cadence_one_ring_epidemics(self, monkeypatch):
+        from repro.protocols.primitives.one_way_epidemic import (
+            OneWayEpidemicProtocol,
+        )
+
+        blocks = _count_blocks(monkeypatch)
+        for seed in range(300):
+            simulator = Simulator(
+                OneWayEpidemicProtocol(32), random_state=seed,
+                convergence_interval=1,
+                topology=build_topology("ring", 32, {}),
+            )
+            assert simulator.run(10**9).converged
+        assert len(blocks) <= 13_402

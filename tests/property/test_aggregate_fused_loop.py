@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregate import AggregateResult
+from repro.core.aggregate import AggregateResult, EventDrivenSimulator
 from repro.protocols.ranking.aggregate_space_efficient import (
     AggregateSpaceEfficientRanking,
 )
@@ -235,3 +235,95 @@ def test_budgets_on_and_beside_an_event_in_every_regime(n, start):
                         specified, 10**12, {}
                     )
                     assert snapshot(fused) == snapshot(specified)
+
+
+@given(
+    n=populations,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start=st.sampled_from(["figure3", "start-ranking"]),
+    batch=st.sampled_from([7, 65]),
+    min_run=st.sampled_from([1, AggregateSpaceEfficientRanking._MIN_RUN]),
+    budget_factor=st.one_of(st.none(), st.floats(min_value=0.0, max_value=8.0)),
+    fractions=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), max_size=5, unique=True
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_vectorized_runs_across_odd_refills(
+    n, seed, start, batch, min_run, budget_factor, fractions
+):
+    """Odd uniform batches make runs end at a refill and skip the discarded
+    last uniform; a minimum run of 1 vectorizes every run it can."""
+    budget = 10**12 if budget_factor is None else int(budget_factor * n * n)
+    fused, specified = build(n, seed, start), build(n, seed, start)
+    fused._UNIFORM_BATCH = specified._UNIFORM_BATCH = batch
+    fused._MIN_RUN = min_run
+    fused_result = fused.run(budget, milestones=fused.milestone_predicates(fractions))
+    specified_result = specification_run(
+        specified, budget, specified.milestone_predicates(fractions)
+    )
+    assert fused_result == specified_result
+    assert list(fused_result.milestones) == list(specified_result.milestones)
+    assert snapshot(fused) == snapshot(specified)
+
+
+def events_by_run_regime(n, seed):
+    """``(regime, interactions, ranked count)`` after each figure3 event,
+    with the two-phase hand-over told apart from the one-phase one."""
+    engine = build(n, seed, "figure3")
+    events = []
+    while not engine.is_done():
+        state = regime(engine)
+        if state == "hand-over":
+            state += f"-{len(engine.phase_counts)}"
+        if engine.step_event() is None:
+            break
+        events.append((state, engine.interactions, engine.ranked_count()))
+    return events
+
+
+@pytest.mark.parametrize("n, seed", [(1024, 3), (2048, 4)])
+def test_stops_and_clamps_inside_vectorized_runs(n, seed, monkeypatch):
+    """In each vectorized regime, a budget on (and beside) an event in the
+    middle of a run, and a milestone reached there, leave the
+    specification's result, state and uniform cursor."""
+    cuts = []
+    waits_within = EventDrivenSimulator._waits_within
+
+    def recording(self, pos, success, room):
+        fits, elapsed = waits_within(self, pos, success, room)
+        cuts.append(0 < fits < len(success))
+        return fits, elapsed
+
+    monkeypatch.setattr(EventDrivenSimulator, "_waits_within", recording)
+    events = events_by_run_regime(n, seed)
+
+    def compare(budget, fractions):
+        fused, specified = build(n, seed, "figure3"), build(n, seed, "figure3")
+        del cuts[:]
+        fused_result = fused.run(
+            budget, milestones=fused.milestone_predicates(fractions)
+        )
+        clamped = any(cuts)
+        specified_result = specification_run(
+            specified, budget, specified.milestone_predicates(fractions)
+        )
+        assert fused_result == specified_result
+        assert list(fused_result.milestones) == list(specified_result.milestones)
+        assert snapshot(fused) == snapshot(specified)
+        assert fused.run(10**12) == specification_run(specified, 10**12, {})
+        assert snapshot(fused) == snapshot(specified)
+        return fused_result, clamped
+
+    for name in ("conversion", "assignment", "hand-over-2"):
+        stretch = [event for event in events if event[0] == name]
+        _, interactions, ranked = stretch[len(stretch) // 2]
+        for budget in (interactions - 1, interactions, interactions + 1):
+            _, clamped = compare(budget, (0.5, 0.9375))
+            assert clamped, (name, budget)
+        # A milestone at that event's ranked count: in the assignment
+        # regime it cuts a run in the middle.
+        result, _ = compare(10**12, ((ranked - 0.5) / n,))
+        assert result.milestones == {f"ranked_{(ranked - 0.5) / n}": min(
+            at for _, at, count in events if count >= ranked
+        )}
