@@ -374,6 +374,9 @@ class Simulator:
         configuration = self._configuration
         scheduler = self._scheduler
         changed = False
+        if settle is not None:
+            # A check point past ``target`` settles at ``target``.
+            settle = min(settle, target)
         # A settling block takes at most ``reach`` pairs past ``settle``,
         # doubling from n while nothing changes, so the pairs it hands
         # back cost no more than the O(n) check that follows the change.

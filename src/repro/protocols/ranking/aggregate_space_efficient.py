@@ -460,28 +460,52 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         if grow:
             self._add_phase_agent(grow)
 
-    #: Shortest run of events worth a vectorized pass: below it, the
-    #: scalar loop's per-event cost is less than numpy's per-call cost.
+    #: Shortest run of events worth a vectorized pass: shorter runs pay
+    #: numpy's per-call cost for too few events.  On perfbench figure3,
+    #: 16 is 5% slower and 64 or 128 are within noise (docs/benchmarks.md).
     _MIN_RUN = 32
 
-    def _conversion_run(self, pos, run, unconverted, count, gated,
-                        assigned_count, phase, bumped_phase, top, room):
+    @staticmethod
+    def _conversion_bounds(unconverted, count, assign_open, bump_open,
+                           assigned_count):
+        """Regime (a)'s class boundaries, on ints or on arrays of them:
+        the ends of ``assign``, ``bump``, ``convert_join`` and
+        ``convert_plain``, and the total weight (see
+        ``_conversion_events``); ``convert_by_leader`` ends at
+        ``unconverted``."""
+        assign_end = unconverted + assign_open * count
+        bump_end = assign_end + bump_open * count
+        join_end = bump_end + 2 * unconverted * count
+        plain_end = join_end + unconverted * (assigned_count + 1)
+        return (assign_end, bump_end, join_end, plain_end,
+                plain_end + unconverted * assigned_count)
+
+    @staticmethod
+    def _handover_bounds(ticks, bump_x, bump_y, count_x, count_y):
+        """Regime (c)'s class boundaries, on ints or on arrays of them:
+        the ends of ``bump:x`` and ``bump:y``, and the total weight (see
+        ``_handover_events``); ``wait_tick`` ends at ``ticks``."""
+        bump_x_end = ticks + bump_x * count_x
+        bump_y_end = bump_x_end + bump_y * count_y
+        return bump_x_end, bump_y_end, bump_y_end + 2 * count_x * count_y
+
+    def _conversion_run(self, pos, run, unconverted, count, assign_open,
+                        bump_open, assigned_count, phase, bumped_phase, top,
+                        room):
         """Regime (a)'s speculated run: ``(events, interactions)``.
 
         Event ``i`` of the run, if every earlier one converted an agent
         into ``phase``, sees ``unconverted − i`` unconverted agents and
-        ``count + i`` phase agents; ``gated`` is the number of open
-        ``assign``/``bump`` gates.  The run is the prefix of events whose
+        ``count + i`` phase agents.  The run is the prefix of events whose
         pick lands in such a class, resolved against the budget by
         ``_waits_within``.
         """
         step = np.arange(run)
         u = unconverted - step
         c = count + step
-        bump_end = u + gated * c
-        join_end = bump_end + 2 * u * c
-        plain_end = join_end + u * (assigned_count + 1)
-        total = plain_end + u * assigned_count
+        _, bump_end, join_end, plain_end, total = self._conversion_bounds(
+            u, c, assign_open, bump_open, assigned_count
+        )
         picks = self._uniform_array[pos + 1:pos + 2 * run:2] * total
         picks = np.where(picks >= total, total - 0.5, picks)
         lands = np.where(
@@ -493,7 +517,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         settled = int(ends.argmax()) if ends.any() else run
         return self._waits_within(pos, total[:settled] / self._total_pairs, room)
 
-    def _handover_run(self, pos, run, count_x, count_y, low_is_x, bump_x,
+    def _handover_run(self, pos, run, count_x, count_y, low_is_x, low, bump_x,
                       bump_y, shift_x, shift_y, ticks, wait, shifting, total,
                       room):
         """Regime (c)'s two-phase run: ``(events, interactions, ticks,
@@ -516,14 +540,12 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         """
         picks = self._uniform_array[pos + 1:pos + 2 * run:2]
         before = np.arange(run) * shifting // total
-        low = count_x if low_is_x else count_y
         while True:
             moved = before if low_is_x else -before
-            c_x = count_x - moved
-            c_y = count_y + moved
-            bump_x_end = ticks + bump_x * c_x
-            bump_y_end = bump_x_end + bump_y * c_y
-            thresholds = picks * (bump_y_end + 2 * c_x * c_y)
+            bump_x_end, bump_y_end, totals = self._handover_bounds(
+                ticks, bump_x, bump_y, count_x - moved, count_y + moved
+            )
+            thresholds = picks * totals
             tick = thresholds < ticks
             shift = thresholds >= bump_y_end
             if shift_x:
@@ -544,9 +566,8 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             if not np.count_nonzero(after[:checked] != before[1:checked + 1]):
                 break
             before[1:] = after[:-1]
-        total = bump_y_end[:first] + 2 * c_x[:first] * c_y[:first]
         fits, elapsed = self._waits_within(
-            pos, total / self._total_pairs, room
+            pos, totals[:first] / self._total_pairs, room
         )
         return (fits, elapsed, int(np.count_nonzero(tick[:fits])),
                 int(after[fits - 1]) if fits else 0)
@@ -576,6 +597,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         n = self._n
         assigned = self._assigned
         bumped_phase = min(2, limit)
+        bounds = self._conversion_bounds
 
         (phase, count), = self._phase_counts.items()
         unconverted = self._unconverted
@@ -596,11 +618,9 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         top = n in assigned
         vectorize = True
         while interactions < budget_end:
-            leader_end = unconverted
-            assign_end = leader_end + assign_open * count
-            bump_end = assign_end + bump_open * count
-            join_end = bump_end + 2 * unconverted * count
-            total = join_end + unconverted * (2 * assigned_count + 1)
+            assign_end, bump_end, join_end, plain_end, total = bounds(
+                unconverted, count, assign_open, bump_open, assigned_count
+            )
             # Speculate a run of the dominant effect, one agent converted
             # into this phase: a join, or a conversion landing here.
             settled = 2 * unconverted * count
@@ -612,7 +632,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
                       2 * total // (total - settled))
             if vectorize and run >= self._MIN_RUN:
                 fits, elapsed = self._conversion_run(
-                    pos, run, unconverted, count, assign_open + bump_open,
+                    pos, run, unconverted, count, assign_open, bump_open,
                     assigned_count, phase, bumped_phase, top,
                     budget_end - interactions,
                 )
@@ -654,7 +674,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             if threshold < assign_end:
                 # convert_by_leader assigns to the fresh phase-1 agent when
                 # it can; otherwise the fresh agent joins phase 1.
-                if threshold < leader_end:
+                if threshold < unconverted:
                     unconverted -= 1
                     if not follow_open:
                         if phase != 1:
@@ -695,7 +715,6 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
             else:
                 # convert_plain, convert_bumped, convert_plain_responder:
                 # only the bumped conversion lands in phase 2.
-                plain_end = join_end + unconverted * (assigned_count + 1)
                 grow = 1
                 if top and plain_end <= threshold < plain_end + unconverted:
                     grow = min(2, limit)
@@ -820,6 +839,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         limit = self._phase_limit
         assigned = self._assigned
         counts = self._phase_counts
+        bounds = self._handover_bounds
 
         phases = list(counts)
         x = phases[0]
@@ -844,9 +864,9 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
         shift_y = bump_y and y + 1 == x
         vectorize = bool(y) and self._n > 3
         while interactions < budget_end:
-            bump_x_end = ticks + bump_x * count_x
-            bump_y_end = bump_x_end + bump_y * count_y
-            total = bump_y_end + 2 * count_x * count_y
+            bump_x_end, bump_y_end, total = bounds(
+                ticks, bump_x, bump_y, count_x, count_y
+            )
             if vectorize:
                 # The run ends at the first bump into a new phase, at the
                 # shift that empties the lower phase, or at the last tick.
@@ -862,7 +882,7 @@ class AggregateSpaceEfficientRanking(EventDrivenSimulator):
                           2 * total / (ending + ticks / wait))
                 if run >= self._MIN_RUN:
                     fits, elapsed, ticked, shifted = self._handover_run(
-                        pos, int(run), count_x, count_y, low_is_x, bump_x,
+                        pos, int(run), count_x, count_y, low_is_x, low, bump_x,
                         bump_y, shift_x, shift_y, ticks, wait, shifting,
                         total, budget_end - interactions,
                     )

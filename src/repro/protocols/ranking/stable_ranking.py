@@ -35,17 +35,9 @@ from ..leader_election.fast_leader_election import FastLeaderElection, default_l
 from ..reset.propagate_reset import PropagateReset, default_reset_depths
 from .phases import PhaseSchedule, wait_count_init
 from .ranking_plus import RankingPlus
-from .states import in_main_state
+from .states import in_main_state, unranked_main_state
 
 __all__ = ["StableRanking"]
-
-
-def _unranked_main(state: AgentState) -> bool:
-    """:func:`in_main_state` for an unranked agent that carries no reset
-    or leader-election variables."""
-    return state.alive_count is not None and (
-        state.wait_count is not None or state.phase is not None
-    )
 
 
 class StableRanking(RankingProtocol[AgentState]):
@@ -209,7 +201,7 @@ class StableRanking(RankingProtocol[AgentState]):
         if u_in_le != v_in_le:
             le_agent, other = (u, v) if u_in_le else (v, u)
             if clean:
-                both_main = other.rank is not None or _unranked_main(other)
+                both_main = other.rank is not None or unranked_main_state(other)
             else:
                 both_main = in_main_state(other)
             if both_main:
@@ -222,8 +214,8 @@ class StableRanking(RankingProtocol[AgentState]):
         elif u_in_le:
             both_main = False
         elif clean:
-            both_main = (u.rank is not None or _unranked_main(u)) and (
-                v.rank is not None or _unranked_main(v)
+            both_main = (u.rank is not None or unranked_main_state(u)) and (
+                v.rank is not None or unranked_main_state(v)
             )
         else:
             both_main = in_main_state(u) and in_main_state(v)

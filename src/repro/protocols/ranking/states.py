@@ -22,6 +22,7 @@ __all__ = [
     "is_start_ranking_configuration",
     "is_initial_waiting_configuration",
     "is_initial_ranking_configuration",
+    "unranked_main_state",
 ]
 
 
@@ -44,6 +45,13 @@ def in_main_state(state: AgentState) -> bool:
         return False
     if state.rank is not None:
         return True
+    return unranked_main_state(state)
+
+
+def unranked_main_state(state: AgentState) -> bool:
+    """:func:`in_main_state` for an unranked agent that carries no reset
+    or leader-election variables: an ``aliveCount`` and either a wait
+    counter or a phase."""
     return state.alive_count is not None and (
         state.wait_count is not None or state.phase is not None
     )

@@ -503,6 +503,32 @@ class TestQuietIntervalBlocks:
             )
         assert blocks
 
+    @pytest.mark.parametrize("interval,budget", [(10_000, 15_000), (5_000, 7_000)])
+    def test_budget_ends_inside_the_last_interval(self, interval, budget):
+        # The check point after the last evaluated check lies past the
+        # budget, and the scheduler's buffer ends inside that last partial
+        # interval: the blocks after a change must still stop at the budget.
+        from harness.protocols import LateRandomProtocol
+
+        built = []
+        for _ in range(2):
+            metrics = MetricsCollector(
+                {"sum": lambda c: sum(s.aux for s in c.states)}, interval=997
+            )
+            simulator = Simulator(
+                LateRandomProtocol(8), random_state=5, metrics=metrics,
+                convergence_interval=interval,
+            )
+            built.append((simulator, metrics))
+        (fast, fast_metrics), (slow, slow_metrics) = built
+        result = fast.run(budget)
+        converged = _manual_run(slow, slow_metrics, budget, True, interval=interval)
+        assert not result.converged and not converged
+        assert result.interactions == budget
+        assert _observed(fast, fast_metrics, []) == _observed(
+            slow, slow_metrics, []
+        )
+
     def test_fault_storm_reference_cells(self, monkeypatch):
         # The 12 reference cells of docs/benchmarks.md: 25,678 blocks when
         # a quiet interval cost a block to the skipped check point, an
