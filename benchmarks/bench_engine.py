@@ -40,15 +40,17 @@ engine speedups from the recorded timings:
     call and every snapshot that worker pays.
 ``stable_ranking_tail``
     The stabilization tail (population ranked down to the last two agents),
-    which dominates the ``Θ(n² log n)`` total of paper-scale runs and is
-    where the array engine's bulk no-op elimination pays.
+    which dominates the ``Θ(n² log n)`` total of paper-scale runs.  Nearly
+    every pair is a no-op there, and the SoA kernel consumes those chunks
+    in column operations.
 ``epidemic_throughput``
     The one-way epidemic at n=256 — a 4-state protocol on the lazy table
     path with its exemplar SoA kernel.
 ``burman_throughput`` / ``cai_throughput`` / ``token_counter_throughput``
     The three comparison baselines at n=64 (matched reference/array pairs,
-    pre-warmed caches).  Burman and Cai run on the lazy tabulated path,
-    and the token counter — whose GS leader-election substrate consumes
+    pre-warmed caches, 20,000-interaction slices no study runs).  Burman
+    and Cai have no SoA kernel, so every pair takes the ordered walk, and
+    the token counter — whose GS leader-election substrate consumes
     randomness — on the declared object fallback, so its pair documents
     the fallback's cost rather than a speedup.
 """
@@ -162,9 +164,9 @@ def test_array_engine_stable_ranking_throughput(benchmark):
 def test_array_engine_stable_ranking_throughput_nokernel(benchmark):
     """Tabulated-path throughput with the SoA kernel disabled.
 
-    The cache is pre-warmed on the same seed, so rounds measure the table
-    path (probes, elimination, walk) without the one-time tabulation cost —
-    the regime repeated sweeps amortize into.
+    The cache is pre-warmed on the same seed, so rounds measure the
+    ordered walk's pair-cache lookups without the one-time tabulation
+    cost — the regime repeated sweeps amortize into.
     """
     cache = EngineCache()
     ArraySimulator(
@@ -522,7 +524,7 @@ def test_reference_burman_throughput(benchmark):
 
 
 def test_array_engine_burman_throughput(benchmark):
-    """Array-engine (lazy tabulated path) throughput of the same workload."""
+    """Array-engine throughput of the same workload: the ordered walk."""
     _run_baseline(benchmark, "burman-style-ranking", "array")
 
 
@@ -532,7 +534,7 @@ def test_reference_cai_throughput(benchmark):
 
 
 def test_array_engine_cai_throughput(benchmark):
-    """Array-engine throughput of the Cai baseline (bulk no-op elimination)."""
+    """Array-engine throughput of the Cai baseline: the ordered walk."""
     _run_baseline(benchmark, "cai-ranking", "array")
 
 

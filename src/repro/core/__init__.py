@@ -26,7 +26,6 @@ from .group_engine import (
     GroupTransitionModel,
     RankingCountGoal,
 )
-from .probe_table import ProbeClassTable
 from .configuration import Configuration
 from .errors import (
     AnalysisError,
@@ -69,7 +68,6 @@ __all__ = [
     "GroupTransitionModel",
     "MetricsCollector",
     "PopulationProtocol",
-    "ProbeClassTable",
     "ProtocolError",
     "RandomnessConsumed",
     "RankingCountGoal",

@@ -10,30 +10,15 @@ consuming sampled pairs in chunks.
 
 Exactness
 ---------
-Sequential semantics are preserved exactly, not approximately.  The engine
-exploits one fact: a transition only reads and writes the states of its two
-participants, so interactions that provably change nothing commute with
-everything.  Each chunk is processed in two steps:
-
-1. **Optimistic bulk no-op elimination.**  The outcome of every pair is
-   probed against the tabulated transition tables *without* evaluating
-   unknown entries.  The *volatile* agent set is read off the probes:
-   agents some pair currently writes, plus both agents of every
-   untabulated pair.  Pairs touching no volatile agent are *tentatively*
-   retired as no-ops, with their (exact) result flags deferred.  Late in a
-   run almost every interaction retires here, in a handful of numpy
-   operations per chunk.
-2. **Validated ordered walk.**  The remaining pairs execute one at a time,
-   in their original order, as scalar table lookups on the live code list —
-   a dictionary probe and a few integer operations per interaction, an
-   order of magnitude less than a full Python-object transition.  The walk
-   also *validates* the elimination: if a pair writes an agent assumed
-   stable (possible only when an operand written earlier in the chunk
-   flipped the pair's behavior), that agent joins the volatile set and its
-   later tentatively-retired pairs are merged back into the walk at their
-   original positions.  A pair that stays retired therefore provably saw
-   its operands keep their chunk-start states — its probed no-op outcome
-   is its true outcome.
+Sequential semantics are preserved exactly, not approximately.  The table
+path is one ordered walk: the pairs execute one at a time, in their
+original order, as scalar lookups of the current state pair in the pair
+cache on the live code list — a dictionary probe and a few integer
+operations per interaction, an order of magnitude less than a full
+Python-object transition.  A state pair the cache does not hold yet is
+tabulated the moment the walk meets it, against the codes the trajectory
+has at that point, so the cache holds exactly the pairs the trajectory
+met.
 
 Determinism and same-seed equality
 ----------------------------------
@@ -76,11 +61,11 @@ vectorized kernel* (:mod:`repro.core.soa`, enabled with
 ``use_soa_kernel=True``, the default): the kernel consumes exact chunk
 prefixes with column operations — coin-toggle parity, counter chains —
 and hands every pair it cannot prove back to the walk (or, when it
-declines early in a call, the rest of the chunk to the table path).
-This lifts the write-heavy mid-run regime of ``StableRanking`` (where
-nearly every pair toggles a synthetic coin and nothing retires in bulk)
-from the walk's ~0.5 µs/interaction to a few hundredths, while keeping
-bit-exact sequential semantics.  See ``docs/engines.md`` for the full
+declines early in a call, the rest of the chunk).  This lifts the
+write-heavy mid-run regime of ``StableRanking`` (where nearly every pair
+toggles a synthetic coin) and its no-op-heavy tail from the walk's
+~0.5 µs/interaction to a few hundredths, while keeping bit-exact
+sequential semantics.  See ``docs/engines.md`` for the full
 mode ladder.
 
 Protocol-level *diagnostic* counters (e.g. ``RankingPlus.errors_detected``)
@@ -105,7 +90,6 @@ from .errors import (
     check_budget,
 )
 from .metrics import MetricsCollector
-from .probe_table import ProbeClassTable
 from .protocol import PopulationProtocol
 from .rng import RandomState
 from .scheduler import UniformPairScheduler
@@ -116,7 +100,7 @@ __all__ = ["ArraySimulator", "EngineCache", "make_simulator"]
 
 # Bit layout of packed table entries: successor codes use 21 bits each, the
 # assigned rank 17 bits, then one bit each for the changed and reset flags.
-# The limits are enforced at construction time.  -1 marks "not tabulated".
+# The limits are enforced at construction time.
 _CODE_BITS = 21
 _RANK_BITS = 17
 _MAX_CODES = 1 << _CODE_BITS
@@ -131,27 +115,6 @@ _RESET_BIT = 1 << _RESET_SHIFT
 _RANK_FIELD = _RANK_MASK << _RANK_SHIFT
 #: Any bit at or above the rank field: pairs without any of these are inert.
 _FLAG_FIELD = _RANK_FIELD | _CHANGED_BIT | _RESET_BIT
-
-
-# Probe-class bits: what an interaction between two states does, compressed
-# to one byte for the chunk-wide volatile-set probe.  -1 (all bits set, via
-# two's complement) marks unknown entries, which thereby conservatively read
-# as "writes both agents and carries flags".
-_CLS_WRITES_U = 1
-_CLS_WRITES_V = 2
-_CLS_FLAGGED = 4
-
-
-def _class_of(packed: int, a: int, b: int) -> int:
-    """Probe class of a packed outcome for the state pair ``(a, b)``."""
-    cls = 0
-    if packed & _CODE_MASK != a:
-        cls |= _CLS_WRITES_U
-    if (packed >> _CODE_BITS) & _CODE_MASK != b:
-        cls |= _CLS_WRITES_V
-    if packed & _FLAG_FIELD:
-        cls |= _CLS_FLAGGED
-    return cls
 
 
 class EngineCache:
@@ -177,19 +140,17 @@ class EngineCache:
     """
 
     __slots__ = (
-        "codec", "pair_cache", "probe_table", "mode",
+        "codec", "pair_cache", "mode",
         "soa_kernel", "soa_columns",
         "persist_dir", "_store_entry", "_spill_mark", "_persist_failed",
     )
 
     def __init__(self, persist_dir=None):
         self.codec = StateCodec()
+        #: Packed outcome of every tabulated state pair, keyed by the
+        #: pair's two codes; filled by the walk in trajectory order and
+        #: by :meth:`load_persisted` from the table store.
         self.pair_cache: Dict[int, int] = {}
-        #: Pair-code → probe-class byte map; a dense (S × S) int8 matrix
-        #: while the codec is small, an open-addressed hash table beyond
-        #: :data:`~repro.core.probe_table.DENSE_STATE_LIMIT` states — so
-        #: arbitrarily large state spaces stay on the warm probe path.
-        self.probe_table = ProbeClassTable(key_bits=_CODE_BITS)
         #: Resolved engine mode, or ``None`` until the first simulator decides.
         self.mode: Optional[str] = None
         #: Shared protocol-provided SoA kernel and its column store (both
@@ -271,19 +232,6 @@ class EngineCache:
             }
             if fresh:
                 pair_cache.update(fresh)
-                keys = np.fromiter(fresh.keys(), np.int64, len(fresh))
-                vals = np.fromiter(fresh.values(), np.int64, len(fresh))
-                cu = keys >> _CODE_BITS
-                cv = keys & _CODE_MASK
-                classes = (
-                    ((vals & _CODE_MASK) != cu) * _CLS_WRITES_U
-                    | (((vals >> _CODE_BITS) & _CODE_MASK) != cv)
-                    * _CLS_WRITES_V
-                    | ((vals & _FLAG_FIELD) != 0) * _CLS_FLAGGED
-                ).astype(np.int8)
-                table = self.probe_table
-                table.ensure_capacity(codec.size)
-                table.bulk_set(cu, cv, classes)
                 record_loaded_pairs(len(fresh))
         except Exception as error:
             self._persist_failed = True
@@ -335,14 +283,12 @@ class EngineCache:
 
 
 class _LazyKernel:
-    """Chunk probes backed by an on-demand pair cache.
+    """The walk's on-demand pair cache.
 
     Full outcomes are packed into one int64 per state pair for the walk's
-    scalar dictionary probes; a parallel int8 ``(S × S)`` probe-class table
-    answers the chunk-wide "does this pair write / carry flags?" question
-    with a single fancy-index gather.  Batch probes never tabulate — unknown
-    pairs read as conservative "writes both" and are resolved by the ordered
-    walk, which sees the settled codes and calls :meth:`evaluate_packed`.
+    scalar dictionary probes.  A pair the cache does not hold is tabulated
+    by :meth:`evaluate_packed` when the walk meets it, against the codes
+    its two agents hold at that point of the trajectory.
     """
 
     def __init__(
@@ -353,12 +299,10 @@ class _LazyKernel:
     ):
         self._protocol = protocol
         self._codec = codec
-        self._cache = cache
         self.pair_dict: Dict[int, int] = cache.pair_cache
         #: Per-state-type capability cache: True when the type supports the
         #: inlined copy()/as_tuple() fast path of :meth:`evaluate_packed`.
         self._fast_types: Dict[type, bool] = {}
-        cache.probe_table.ensure_capacity(max(codec.size, 1))
 
     def _is_fast_type(self, state_type: type) -> bool:
         supported = self._fast_types.get(state_type)
@@ -432,19 +376,7 @@ class _LazyKernel:
             | (_RESET_BIT if result.reset_triggered else 0)
         )
         self.pair_dict[key] = packed
-        # Record the probe class; the table grows (or migrates from its
-        # dense matrix to the hashed representation) as the codec interns
-        # states, so no code is ever beyond reach.
-        table = self._cache.probe_table
-        table.ensure_capacity(self._codec.size)
-        table.set(a, b, _class_of(packed, a, b))
         return packed
-
-    def probe_class(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-        """Probe-class bytes for a batch of state pairs; unknown reads -1."""
-        table = self._cache.probe_table
-        table.ensure_capacity(self._codec.size)
-        return table.lookup(cu, cv)
 
 
 class ArraySimulator:
@@ -490,9 +422,11 @@ class ArraySimulator:
     """
 
     #: A kernel call that declines after fewer pairs than this hands the
-    #: rest of the chunk to the table path instead of walking the declined
-    #: pair and calling the kernel again (regimes like start-up leader
-    #: election, where nearly every pair is outside the fast path).
+    #: rest of the chunk to the walk instead of walking the declined pair
+    #: alone and calling the kernel again.  In regimes like start-up leader
+    #: election nearly every pair is outside the fast path, and re-calling
+    #: the kernel per pair costs more than it saves (measured in
+    #: ``docs/benchmarks.md``).
     SOA_STRIKE_YIELD = 16
 
     def __init__(
@@ -558,7 +492,8 @@ class ArraySimulator:
 
         self._codec: Optional[StateCodec] = None
         # Canonical per-agent codes: a Python list for the scalar walk, with
-        # a numpy mirror for the vectorized probes (kept in sync).
+        # a numpy mirror for the SoA kernel and block snapshots (kept in
+        # sync).
         self._code_list: Optional[List[int]] = None
         self._codes_np: Optional[np.ndarray] = None
         self._kernel = None
@@ -624,9 +559,9 @@ class ArraySimulator:
     ) -> None:
         """Switch to the object path mid-run (transition consumed randomness).
 
-        Already-retired no-ops changed nothing and the walk executes in
-        original order, so finishing the pending pairs on materialized
-        states is exactly the sequential semantics.
+        The walk executes pairs in original order, so finishing the
+        pending pairs on materialized states is exactly the sequential
+        semantics.
         """
         self._sync_configuration()
         self._mode = "object"
@@ -889,11 +824,12 @@ class ArraySimulator:
         attached, the kernel consumes a maximal exact prefix of the rest of
         the chunk in column operations and takes the metric snapshots due
         inside it.  When it declines a pair after fewer than
-        :attr:`SOA_STRIKE_YIELD` pairs, the rest of the chunk runs on the
-        table path; otherwise :meth:`_walk` resolves the declined pair and
-        the kernel is called again.  The table path stops at the next
-        snapshot, and a walk that demotes the engine to the object path
-        ends the call, so the prefix can be shorter than the chunk.
+        :attr:`SOA_STRIKE_YIELD` pairs, it hands the rest of the chunk to
+        the walk; otherwise :meth:`_walk` resolves the declined pair alone
+        and the kernel is called again.  A walk over the rest of the chunk
+        stops at the next snapshot, and a walk that demotes the engine to
+        the object path ends the call, so the prefix can be shorter than
+        the chunk.
         """
         if self._soa is None:
             return self._tables_to_stop(pairs)
@@ -935,168 +871,24 @@ class ArraySimulator:
         return total
 
     def _tables_to_stop(self, pairs: np.ndarray) -> int:
-        """Run ``pairs`` on the table path up to the next metric snapshot,
-        record it, and return the number of pairs executed."""
+        """Walk ``pairs`` up to the next metric snapshot, record it, and
+        return the number of pairs executed."""
         count = len(pairs)
         metrics = self._metrics
         if metrics is not None:
             count = min(count, max(metrics.next_due - self._interactions, 1))
-        self._process_chunk_tables(pairs[:count])
+        self._walk(pairs[:count, 0].tolist(), pairs[:count, 1].tolist())
         self._record_due()
         return count
 
-    def _process_chunk_tables(self, pairs: np.ndarray) -> None:
-        """Execute a chunk of pairs with exact sequential semantics.
-
-        Optimistic elimination with walk-time validation: the volatile set
-        is taken directly from the chunk probes (agents some pair currently
-        writes, plus both agents of every untabulated pair) with no
-        transitive closure.  Pairs touching no volatile agent are
-        *tentatively* retired, their statistics deferred; the ordered walk
-        over the rest verifies the assumption.  If a walked pair writes an
-        agent assumed stable — possible only when an operand written
-        earlier in the chunk flipped the pair's behavior — that agent joins
-        the volatile set and its later tentatively-retired pairs are merged
-        back into the walk at their original positions.  Retired pairs are
-        therefore exact no-ops: their operands provably kept their
-        chunk-start states for the whole chunk.
-        """
-        total = len(pairs)
-        agents_i = pairs[:, 0]
-        agents_r = pairs[:, 1]
-        codes_np = self._codes_np
-
-        # Probe the whole chunk against the current codes.  Unknown pairs
-        # are NOT tabulated here — their operands may still change before
-        # their turn; they read as "writes both agents" (all class bits
-        # set) and the walk resolves them against settled codes.
-        classes = self._kernel.probe_class(codes_np[agents_i], codes_np[agents_r])
-
-        volatile = np.zeros(self._n, dtype=bool)
-        volatile[agents_i[(classes & _CLS_WRITES_U) != 0]] = True
-        volatile[agents_r[(classes & _CLS_WRITES_V) != 0]] = True
-
-        # Flagged-but-writeless pairs (rank/reset/changed without a state
-        # change) are walked too, so their exact flags are counted; retired
-        # pairs therefore contribute no statistics at all.
-        walk_mask = volatile[agents_i] | volatile[agents_r]
-        walk_mask |= (classes & _CLS_FLAGGED) != 0
-        walk_count = int(np.count_nonzero(walk_mask))
-        if walk_count == 0:
-            self._interactions += total
-            return
-        if walk_count == total:
-            # Nothing retired, so no elimination to validate: take the
-            # simple in-order loop without the reactivation bookkeeping.
-            self._walk(agents_i.tolist(), agents_r.tolist())
-            return
-        safe = ~walk_mask
-        order_np = np.flatnonzero(walk_mask)
-        order = order_np.tolist()
-        w_i = agents_i[order_np].tolist()
-        w_r = agents_r[order_np].tolist()
-        in_v = volatile.tolist()
-
-        codes = self._code_list
-        pair_dict = self._kernel.pair_dict
-        get = pair_dict.get
-        evaluate = self._kernel.evaluate_packed
-        pending: Dict[int, int] = {}
-        walked = 0
-        ranks = 0
-        resets = 0
-        changed = False
-        demote_positions: Optional[List[int]] = None
-
-        # The walk lists may be re-built on violations, so iterate via an
-        # explicit index.
-        cursor = 0
-        try:
-            while cursor < len(order):
-                position = order[cursor]
-                i = w_i[cursor]
-                j = w_r[cursor]
-                cursor += 1
-                a = codes[i]
-                b = codes[j]
-                value = get((a << _CODE_BITS) | b)
-                if value is None:
-                    value = evaluate((a << _CODE_BITS) | b)
-                next_a = value & _CODE_MASK
-                if next_a != a:
-                    codes[i] = next_a
-                    pending[i] = next_a
-                    if not in_v[i]:
-                        merged = self._reactivate(
-                            i, position, order, cursor, safe, agents_i, agents_r
-                        )
-                        if merged is not None:
-                            order, w_i, w_r = merged
-                            cursor = 0
-                        in_v[i] = True
-                next_b = (value >> _CODE_BITS) & _CODE_MASK
-                if next_b != b:
-                    codes[j] = next_b
-                    pending[j] = next_b
-                    if not in_v[j]:
-                        merged = self._reactivate(
-                            j, position, order, cursor, safe, agents_i, agents_r
-                        )
-                        if merged is not None:
-                            order, w_i, w_r = merged
-                            cursor = 0
-                        in_v[j] = True
-                walked += 1
-                if value & _FLAG_FIELD:
-                    if value & _CHANGED_BIT:
-                        changed = True
-                    if value & _RANK_FIELD:
-                        ranks += 1
-                    if value & _RESET_BIT:
-                        resets += 1
-        except RandomnessConsumed:
-            # Hand the rest of the chunk to the object path in original
-            # order: the unfinished walk positions plus every
-            # not-yet-validated tentatively-safe pair after the current one.
-            position = order[cursor - 1]
-            tail = np.flatnonzero(safe)
-            remaining = sorted(
-                set(order[cursor - 1:]) | set(tail[tail > position].tolist())
-            )
-            # Safe pairs before the demotion point were validated by the
-            # walk so far: no non-volatile agent has changed yet, so they
-            # are exact (statistics-free) no-ops.
-            self._interactions += int(np.count_nonzero(tail <= position))
-            demote_positions = remaining
-
-        if pending:
-            self._codes_np[list(pending.keys())] = list(pending.values())
-        self._interactions += walked
-        self._rank_assignments += ranks
-        self._resets += resets
-        if changed:
-            self._changed_since_check = True
-
-        if demote_positions is not None:
-            remaining_np = np.asarray(demote_positions, dtype=np.int64)
-            self._demote_to_object(
-                agents_i[remaining_np].tolist(), agents_r[remaining_np].tolist()
-            )
-            return
-
-        # Pairs still marked safe survived validation: exact no-ops.
-        self._interactions += int(np.count_nonzero(safe))
-
     def _walk(self, ai: List[int], ar: List[int]) -> None:
-        """In-order walk of pairs with nothing retired.
+        """The table path: execute pairs one at a time, in order.
 
-        Same semantics as the validated walk in
-        :meth:`_process_chunk_tables`, but with no elimination to protect
-        there is no reactivation bookkeeping, which makes the
-        per-interaction loop measurably tighter — this is the hot path of
-        the write-heavy early phase.  A pair whose current state pair the
-        cache does not hold is tabulated; a transition that draws
-        randomness demotes the engine, and the object path runs the rest.
+        Each pair looks its current state pair up in the pair cache and
+        applies the packed outcome to the live codes.  A state pair the
+        cache does not hold is tabulated on the spot; a transition that
+        draws randomness demotes the engine, and the object path runs the
+        rest.
         """
         codes = self._code_list
         get = self._kernel.pair_dict.get
@@ -1141,28 +933,6 @@ class ArraySimulator:
             self._changed_since_check = True
         if demoted:
             self._demote_to_object(ai[walked:], ar[walked:])
-
-    def _reactivate(self, agent, position, order, cursor, safe, agents_i, agents_r):
-        """A walked pair wrote an agent assumed stable: re-walk its pairs.
-
-        Later tentatively-retired pairs touching ``agent`` get their probes
-        invalidated by this write, so they are merged back into the walk at
-        their original positions (pairs before ``position`` are unaffected:
-        the agent provably held its chunk-start state until now).  Returns
-        the rebuilt ``(order, walk_i, walk_r)`` tail to restart on, or
-        ``None`` when no retired pair is affected.
-        """
-        hits = np.flatnonzero(
-            ((agents_i == agent) | (agents_r == agent)) & safe
-        )
-        hits = hits[hits > position]
-        if not len(hits):
-            return None
-        safe[hits] = False
-        merged = sorted(order[cursor:] + hits.tolist())
-        merged_np = np.asarray(merged, dtype=np.int64)
-        # Restart iteration on the merged tail; already-walked pairs stay done.
-        return merged, agents_i[merged_np].tolist(), agents_r[merged_np].tolist()
 
     # ------------------------------------------------------------------
     # Simulator-compatible driving loop

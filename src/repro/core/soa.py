@@ -1,11 +1,10 @@
 """Struct-of-arrays (SoA) vectorized kernels for the array engine.
 
-The array engine's table paths resolve *every* state-changing interaction
-through an ordered scalar walk (:mod:`repro.core.array_engine`), which is
-exact but caps the mid-run regime of the paper's protocols at roughly half a
-microsecond per interaction: while many unranked agents toggle synthetic
-coins and churn liveness counters, nearly every pair writes *something* and
-nothing retires in bulk.  This module defines the protocol-provided escape
+The array engine's table path resolves *every* interaction through an
+ordered scalar walk (:mod:`repro.core.array_engine`), which is exact but
+caps the paper's protocols at roughly half a microsecond per interaction:
+in the mid-run regime many unranked agents toggle synthetic coins and
+churn liveness counters, so nearly every pair writes *something*.  This module defines the protocol-provided escape
 hatch: a protocol that understands its own hot path can hand the engine a
 :class:`VectorizedKernel` that consumes chunk *prefixes* with numpy
 column operations instead of per-pair Python.

@@ -2,9 +2,9 @@
 
 The mid-run regime of the self-stabilizing protocol — many unranked agents
 toggling synthetic coins and averaging liveness counters while ranks trickle
-out — defeats the array engine's bulk no-op elimination: almost every pair
-writes a coin or an ``aliveCount``, so almost every pair lands in the scalar
-ordered walk at ~0.5 µs apiece, and every liveness-counter combination is a
+out — binds the array engine to its scalar walk: almost every pair writes
+a coin or an ``aliveCount``, so almost every pair costs the ordered walk
+~0.5 µs, and every liveness-counter combination is a
 novel state pair the engine's pair cache has never seen.  This kernel
 exploits the structure the generic walk cannot:
 
@@ -40,11 +40,11 @@ trigger), a leader election won (the agent enters the main protocol), an
 agent of either domain meeting the other domain (joins and infections of
 main agents), any agent outside the five pure state classes, duplicate
 ranks, duplicate waiting agents.  Those pairs are resolved exactly by the
-engine's walk (or its table path, when the kernel declines early in a
-call), after which the kernel resumes.  They are not rare: over 16
-figure2 cells (n = 64, 50 n² interactions each) the kernel executes
-98.5% of the interactions, and the walk and table paths take the other
-1.5% — the start-up and every rank assignment and reset.  Everything the kernel
+engine's walk (which takes the rest of the chunk when the kernel declines
+early in a call), after which the kernel resumes.  They are not rare:
+over 16 figure2 cells (n = 64, 50 n² interactions each) the kernel
+executes 98.5% of the interactions, and the walk takes the other 1.5% —
+the start-up and every rank assignment and reset.  Everything the kernel
 *does* commit is bit-identical to the reference simulator, including the
 ``changed`` flag driving convergence checks and the ``resets`` counter
 (countdown-expiry resets are executed inline and counted).

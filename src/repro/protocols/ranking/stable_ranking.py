@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ...core.configuration import Configuration
+from ...core.group_engine import RankingCountGoal
 from ...core.protocol import CHANGED, NOOP, RankingProtocol, TransitionResult
 from ...core.state import AgentState
 from ..leader_election.fast_leader_election import FastLeaderElection, default_l_max
@@ -37,7 +38,7 @@ from .phases import PhaseSchedule, wait_count_init
 from .ranking_plus import RankingPlus
 from .states import in_main_state, unranked_main_state
 
-__all__ = ["StableRanking"]
+__all__ = ["StableRanking", "StableRankingCountGoal"]
 
 
 class StableRanking(RankingProtocol[AgentState]):
@@ -252,6 +253,10 @@ class StableRanking(RankingProtocol[AgentState]):
             return False
         return all(self._holds_only_rank(state) for state in configuration.states)
 
+    def count_goal(self, codec):
+        """The silent legal set over counts: a bare-rank permutation."""
+        return StableRankingCountGoal(self.n)
+
     def convergence_is_closed(self) -> bool:
         """Silent legal set: agents holding distinct bare ranks never
         change (no coin to toggle, no duplicate to detect)."""
@@ -322,3 +327,32 @@ class StableRanking(RankingProtocol[AgentState]):
         from .soa_kernel import StableRankingKernel
 
         return StableRankingKernel(self)
+
+
+class StableRankingCountGoal(RankingCountGoal):
+    """:meth:`StableRanking.has_converged` read off state counts.
+
+    ``measure()`` and ``target()`` are the ranked count of
+    :class:`~repro.core.group_engine.RankingCountGoal`; ``done()``
+    additionally requires all ``n`` agents to hold a bare rank in
+    ``{1, …, n}`` — nothing but the rank, as in the silent legal set.  A
+    ranked agent that still carries a coin or a counter keeps changing,
+    so a permutation alone is not convergence.  The bare count is
+    additive in the count deltas like the measure, and ``done()`` still
+    implies ``measure() == target()``.
+    """
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._bare = 0
+
+    def on_count(self, state: AgentState, delta: int) -> None:
+        super().on_count(state, delta)
+        if (
+            StableRanking._holds_only_rank(state)
+            and 1 <= state.rank <= self._n
+        ):
+            self._bare += delta
+
+    def done(self) -> bool:
+        return super().done() and self._bare == self._n

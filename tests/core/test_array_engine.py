@@ -352,3 +352,78 @@ class TestResultContract:
             max_interactions=1600, stop_on_convergence=False
         )
         assert result.normalized_interactions == pytest.approx(1600 / 256.0)
+
+
+class TestTabulation:
+    """The walk tabulates exactly the state pairs the trajectory meets."""
+
+    @pytest.mark.parametrize(
+        "name, interactions, cached_pairs, soa_interactions",
+        [
+            ("burman", 91_520, 52_706, 0),
+            ("cai", 141_056, 4_016, 0),
+            ("stable_adversarial", 59_296, 6_118, 51_446),
+        ],
+    )
+    def test_miss_counts_are_pinned(
+        self, name, interactions, cached_pairs, soa_interactions
+    ):
+        from repro.baselines.burman_ranking import BurmanStyleRanking
+        from repro.baselines.cai_ranking import CaiRanking
+        from repro.experiments.workloads import adversarial_configuration
+
+        configuration = None
+        if name == "burman":
+            protocol = BurmanStyleRanking(64)
+        elif name == "cai":
+            protocol = CaiRanking(64)
+        else:
+            protocol = StableRanking(32)
+            configuration = adversarial_configuration(protocol, 5)
+        cache = EngineCache()
+        array = ArraySimulator(
+            protocol, configuration=configuration, random_state=11,
+            convergence_interval=protocol.n, cache=cache,
+        )
+        result = array.run(max_interactions=200 * protocol.n ** 2)
+        assert result.converged
+        assert result.interactions == interactions
+        assert len(cache.pair_cache) == cached_pairs
+        assert array.soa_interactions == soa_interactions
+
+    def test_large_state_space_runs_warm_not_demoted(self):
+        """CaiRanking with 9,000 interned states stays on the lazy path,
+        tabulates pairs of codes above 8,192 and matches the reference."""
+        from repro.baselines.cai_ranking import CaiRanking, CaiState
+
+        n = 9000
+
+        def configuration():
+            # All labels distinct: the codec interns n states the moment
+            # the population is encoded.
+            return Configuration(
+                [CaiState(rank=label) for label in range(1, n + 1)]
+            )
+
+        array = ArraySimulator(
+            CaiRanking(n), configuration=configuration(), random_state=7
+        )
+        assert array.mode == "lazy"  # no cap error, no object demotion
+        assert array.codec.size == n > 8192
+        assert array.kernel is not None
+
+        array.run(max_interactions=20_000, stop_on_convergence=False)
+        assert array.mode == "lazy"  # still not demoted
+        high = [
+            key for key in array.kernel.pair_dict
+            if (key >> 21) > 8192 and (key & ((1 << 21) - 1)) > 8192
+        ]
+        assert high, "expected tabulated pairs with codes beyond 8192"
+
+        reference = Simulator(
+            CaiRanking(n), configuration=configuration(), random_state=7
+        )
+        reference.run(max_interactions=20_000, stop_on_convergence=False)
+        assert [s.rank for s in array.configuration.states] == [
+            s.rank for s in reference.configuration.states
+        ]

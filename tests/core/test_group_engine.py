@@ -16,6 +16,8 @@ from repro.protocols.primitives.one_way_epidemic import (
     OneWayEpidemicProtocol,
     epidemic_upper_bound,
 )
+from repro.core.simulation import Simulator
+from repro.core.state import AgentState
 from repro.protocols.ranking.stable_ranking import StableRanking
 
 
@@ -188,6 +190,43 @@ class TestRankingProtocols:
         result = simulator.run(max_interactions=10**9)
         assert result.converged
         assert simulator.count_vector().sum() == 16
+
+
+class TestStableRankingCountGoal:
+    """A rank permutation whose agents still carry auxiliary variables is
+    not StableRanking's silent legal set."""
+
+    @staticmethod
+    def stray_coin_start():
+        states = [AgentState(rank=rank) for rank in range(1, 9)]
+        states[3].coin = 1
+        return Configuration(states)
+
+    def test_stray_coin_is_not_converged_on_either_engine(self):
+        group = GroupCountSimulator(
+            StableRanking(8), configuration=self.stray_coin_start(),
+            random_state=0,
+        ).run(10**5)
+        reference = Simulator(
+            StableRanking(8), configuration=self.stray_coin_start(),
+            random_state=0, convergence_interval=8,
+        ).run(10**5)
+        assert not group.converged
+        assert group.interactions == 10**5
+        assert not reference.converged
+        assert reference.interactions == 10**5
+
+    def test_bare_permutation_is_done(self):
+        protocol = StableRanking(8)
+        simulator = GroupCountSimulator(
+            protocol,
+            configuration=Configuration(
+                [AgentState(rank=rank) for rank in range(1, 9)]
+            ),
+            random_state=0,
+        )
+        assert simulator.is_done()
+        assert simulator.goal.measure() == simulator.goal.target() == 8
 
 
 class TestRankingCountGoal:

@@ -13,8 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.cai_ranking import CaiRanking
+from repro.core.configuration import Configuration
 from repro.core.group_engine import GroupCountSimulator
+from repro.core.simulation import Simulator
+from repro.core.state import AgentState
+from repro.experiments.workloads import adversarial_state
 from repro.protocols.primitives.one_way_epidemic import OneWayEpidemicProtocol
+from repro.protocols.ranking.stable_ranking import StableRanking
 
 
 def fresh_simulator(protocol, seed):
@@ -92,3 +97,61 @@ def test_cai_ranking_invariants_along_any_trajectory(n, seed, steps):
             if rank is not None:
                 ranks.extend([rank] * count)
         assert sorted(ranks) == list(range(1, n + 1))
+
+
+def goal_of_counts(protocol, configuration):
+    """``protocol``'s count goal fed ``configuration``'s state counts."""
+    goal = protocol.count_goal(None)
+    counts = {}
+    for state in configuration.states:
+        key = state.as_tuple()
+        prototype, count = counts.get(key, (state, 0))
+        counts[key] = (prototype, count + 1)
+    for prototype, count in counts.values():
+        goal.on_count(prototype, count)
+    return goal
+
+
+@given(
+    n=st.sampled_from([8, 16]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    scrambled=st.integers(min_value=0, max_value=16),
+    stray_coins=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=16, deadline=None)
+def test_stable_ranking_goal_agrees_with_has_converged(
+    n, seed, scrambled, stray_coins
+):
+    """At every reference check point, the count goal is done exactly
+    when ``has_converged`` holds.
+
+    The start is a rank permutation with ``scrambled`` agents redrawn by
+    :func:`adversarial_state` (all of them at ``scrambled >= n``) and a
+    coin left on ``stray_coins`` of the remaining ranked agents — ranked
+    agents that still carry an auxiliary variable are what separates the
+    silent legal set from a bare permutation.
+    """
+    protocol = StableRanking(n)
+    rng = np.random.default_rng(seed)
+    states = [AgentState(rank=rank) for rank in range(1, n + 1)]
+    order = rng.permutation(n)
+    for agent in order[:scrambled]:
+        states[agent] = adversarial_state(protocol, rng)
+    for agent in order[scrambled:scrambled + stray_coins]:
+        states[agent].coin = int(rng.integers(0, 2))
+    checked = []
+
+    def agrees(configuration):
+        goal = goal_of_counts(protocol, configuration)
+        converged = protocol.has_converged(configuration)
+        assert goal.done() == converged
+        if goal.done():
+            assert goal.measure() == goal.target()
+        checked.append(converged)
+        return converged
+
+    simulator = Simulator(
+        protocol, configuration=Configuration(states), random_state=seed
+    )
+    simulator.run_until(agrees, max_interactions=100 * n * n, check_interval=n)
+    assert checked

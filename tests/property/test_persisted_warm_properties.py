@@ -12,8 +12,8 @@ family that persists through the store:
 * ``group``: a :class:`GroupTransitionModel` restored from its persisted
   snapshot samples the exact event sequence of the model that wrote it.
 
-Budgets stay small — the property is about key remapping, probe-class
-recomputation and snapshot replay ordering, not throughput.
+Budgets stay small — the property is about key remapping and snapshot
+replay ordering, not throughput.
 """
 
 import numpy as np

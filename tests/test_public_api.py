@@ -80,7 +80,6 @@ def test_backend_registry_is_exported():
         "backend_names",
         "engine_choices",
         "capability_matrix",
-        "ProbeClassTable",
         "GroupCountSimulator",
         "CountGoal",
     ):
