@@ -11,13 +11,13 @@ from repro.core.group_engine import (
     GroupTransitionModel,
     RankingCountGoal,
 )
+from repro.core.simulation import Simulator
+from repro.core.state import AgentState
 from repro.protocols.primitives.one_way_epidemic import (
     EpidemicState,
     OneWayEpidemicProtocol,
     epidemic_upper_bound,
 )
-from repro.core.simulation import Simulator
-from repro.core.state import AgentState
 from repro.protocols.ranking.stable_ranking import StableRanking
 
 
