@@ -368,6 +368,16 @@ class TestTabulation:
     def test_miss_counts_are_pinned(
         self, name, interactions, cached_pairs, soa_interactions
     ):
+        cache = EngineCache()
+        array = self.pinned_simulator(name, cache)
+        result = array.run(max_interactions=200 * array.protocol.n ** 2)
+        assert result.converged
+        assert result.interactions == interactions
+        assert len(cache.pair_cache) == cached_pairs
+        assert array.soa_interactions == soa_interactions
+
+    @staticmethod
+    def pinned_simulator(name, cache):
         from repro.baselines.burman_ranking import BurmanStyleRanking
         from repro.baselines.cai_ranking import CaiRanking
         from repro.experiments.workloads import adversarial_configuration
@@ -380,16 +390,55 @@ class TestTabulation:
         else:
             protocol = StableRanking(32)
             configuration = adversarial_configuration(protocol, 5)
-        cache = EngineCache()
-        array = ArraySimulator(
+        return ArraySimulator(
             protocol, configuration=configuration, random_state=11,
             convergence_interval=protocol.n, cache=cache,
         )
-        result = array.run(max_interactions=200 * protocol.n ** 2)
-        assert result.converged
-        assert result.interactions == interactions
-        assert len(cache.pair_cache) == cached_pairs
-        assert array.soa_interactions == soa_interactions
+
+    @pytest.mark.parametrize("name", ["burman", "cai", "stable_adversarial"])
+    def test_warm_rerun_tabulates_nothing(self, name):
+        """A second same-seed run over the filled cache meets only cached
+        pairs and replays the first run bit for bit."""
+        cache = EngineCache()
+        cold = self.pinned_simulator(name, cache)
+        budget = 200 * cold.protocol.n ** 2
+        first = snapshot(cold.run(max_interactions=budget))
+        tabulated = len(cache.pair_cache)
+        warm = self.pinned_simulator(name, cache)
+        second = snapshot(warm.run(max_interactions=budget))
+        assert len(cache.pair_cache) == tabulated
+        assert_identical(first, second, context=f"warm rerun {name}")
+
+    @pytest.mark.parametrize("name", ["burman", "cai"])
+    def test_walk_stops_at_every_snapshot(self, name):
+        """Kernel-less baselines run on the walk alone; metric snapshots
+        that fall inside a chunk read the reference's configuration."""
+        from repro.baselines.burman_ranking import BurmanStyleRanking
+        from repro.baselines.cai_ranking import CaiRanking
+
+        factory = BurmanStyleRanking if name == "burman" else CaiRanking
+        n = 32
+
+        def collector():
+            return MetricsCollector(standard_ranking_probes(), interval=250)
+
+        reference = Simulator(factory(n), random_state=3, metrics=collector())
+        array = ArraySimulator(
+            factory(n), random_state=3, metrics=collector(),
+            convergence_interval=n, cache=EngineCache(),
+        )
+        expected = reference.run(max_interactions=20_000, stop_on_convergence=False)
+        actual = array.run(max_interactions=20_000, stop_on_convergence=False)
+        assert array.mode == "lazy"
+        assert array.soa_interactions == 0
+        assert actual.metrics.keys() == expected.metrics.keys()
+        for metric, series in expected.metrics.items():
+            assert len(series.interactions) == 20_000 // 250 + 1
+            assert actual.metrics[metric].interactions == series.interactions
+            assert actual.metrics[metric].values == series.values
+        assert_identical(
+            snapshot(expected), snapshot(actual), context=f"walk {name}"
+        )
 
     def test_large_state_space_runs_warm_not_demoted(self):
         """CaiRanking with 9,000 interned states stays on the lazy path,

@@ -228,6 +228,48 @@ class TestStableRankingCountGoal:
         assert simulator.is_done()
         assert simulator.goal.measure() == simulator.goal.target() == 8
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coin", 0),
+            ("alive_count", 3),
+            ("phase", 1),
+            ("reset_count", 2),
+            ("delay_count", 1),
+        ],
+    )
+    def test_auxiliary_variable_keeps_permutation_unconverged(
+        self, field, value
+    ):
+        """Any variable beside the rank blocks ``done()`` exactly as it
+        blocks ``has_converged``, while the ranked count stays full."""
+        protocol = StableRanking(8)
+        states = [AgentState(rank=rank) for rank in range(1, 9)]
+        setattr(states[5], field, value)
+        goal = protocol.count_goal(None)
+        for state in states:
+            goal.on_count(state, 1)
+        assert not protocol.has_converged(Configuration(states))
+        assert not goal.done()
+        assert goal.measure() == goal.target() == 8
+
+    def test_done_follows_count_deltas(self):
+        """The bare count is additive: swapping the stray-coin agent for a
+        bare one makes the goal done, and swapping it back undoes it."""
+        goal = StableRanking(8).count_goal(None)
+        start = self.stray_coin_start().states
+        for state in start:
+            goal.on_count(state, 1)
+        stray, bare = start[3], AgentState(rank=4)
+        assert not goal.done()
+        goal.on_count(stray, -1)
+        goal.on_count(bare, 1)
+        assert goal.done()
+        goal.on_count(bare, -1)
+        goal.on_count(stray, 1)
+        assert not goal.done()
+        assert goal.measure() == goal.target() == 8
+
 
 class TestRankingCountGoal:
     def test_tracks_permutation_exactly(self):
